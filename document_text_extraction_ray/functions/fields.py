@@ -1,4 +1,4 @@
-"""Field extractors M1-M13 (SURVEY.md §2.2): pure ``text -> value`` functions
+r"""Field extractors M1-M13 (SURVEY.md §2.2): pure ``text -> value`` functions
 with the reference's exact regex/keyword semantics.
 
 Parity notes (reference file:line):
@@ -22,6 +22,40 @@ ordering the reference itself uses for skills, parse_cv_docling.py:81), so
 output is byte-stable under Ray's parallel, retry-prone execution.
 All regexes are compiled once at import (module constants) so map_batches
 tasks pay no per-batch compile cost.
+
+Prefilters.  Every expensive pattern sits behind a cheap test that the
+pattern itself implies: a guard may skip a scan, or start it later, only
+where no match can exist, so output is identical to running each pattern
+over the whole text.  Starting a scan later uses ``findall(text, pos)``,
+which still lets ``\b`` and look-behinds see the characters before
+``pos``; ``endpos`` truncates the string as the pattern sees it, so it is
+used only where the character at ``endpos - 1`` cannot lie inside any
+match: every match, and the ``\b`` after it, then ends before ``endpos``.
+Per extractor:
+
+  - emails: every match holds exactly one '@', its local part is a run of
+    ``[A-Za-z0-9._%+-]`` ending at that '@', and its host and TLD are a run
+    of ``[A-Za-z0-9.|-]`` after it.  So no match starts before the local
+    run of the first '@' or ends after the host run of the last one; the
+    scan covers that window plus the one character the final ``\b`` reads.
+  - phones: patterns 1-3 need three consecutive digits, pattern 3 ten, and
+    pattern 1 sits one '(' before them, so each scan starts at the first
+    such run.  Pattern 0 needs a '+'.  The runs are found with one
+    ``bytes.find`` over the ASCII bytes with digits mapped to b"0"; that
+    fast path holds only for ASCII text because ``\d`` also matches
+    non-ASCII digits (e.g. '٣'), which fall back to a ``\d{3}`` search.
+  - skills: a keyword can only occur if each of its characters occurs and
+    every shorter keyword inside it ('java' in 'javascript', 'sql' in
+    'mysql', 'go' in 'django') occurs; the per-character presence set is
+    computed once and shared by all 50 keywords.  A surviving keyword is
+    still tested as a plain substring, so overlapping hits keep counting.
+  - degrees: ``DEGREE_RES[0]`` groups its alternatives by first letter,
+    keeping their order within each letter, and tests the leading ``\b`` as
+    ``(?<!\w.)`` after that letter, which lets ``re`` skip to candidate
+    letters; ``DEGREE_RES[1]`` runs only where 'graduate' occurs (every
+    alternative contains it).  GPA starts at the first 'gpa': a match at the
+    'c' of 'cgpa' captures the same number as the one at its 'g'.
+  - linkedin/github: the literal host prefix must occur.
 """
 
 from __future__ import annotations
@@ -67,8 +101,11 @@ SKILL_TOKEN_RE = re.compile(r"^[A-Za-z0-9\.\+#\-\s]+$")
 # extractors in extract_all_fields.
 DEGREE_RES = [
     re.compile(
-        r"\b(bachelor|master|phd|doctorate|diploma|certificate"
-        r"|b\.?\s*[a-z]+|m\.?\s*[a-z]+|ph\.?\s*d\.?)\b"
+        r"(b(?<!\w.)(?:achelor|\.?\s*[a-z]+)"
+        r"|m(?<!\w.)(?:aster|\.?\s*[a-z]+)"
+        r"|p(?<!\w.)(?:hd|h\.?\s*d\.?)"
+        r"|d(?<!\w.)(?:octorate|iploma)"
+        r"|c(?<!\w.)ertificate)\b"
     ),
     re.compile(r"\b(undergraduate|graduate|postgraduate)\b"),
 ]
@@ -100,26 +137,50 @@ SECTION_CANON = {
 }
 
 
+_EMAIL_LOCAL_CHARS = frozenset(
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789._%+-")
+_EMAIL_HOST_RUN_RE = re.compile(r"[A-Za-z0-9.\-|]*")
+
+
 def extract_emails(text: str) -> list:
-    """M1 — approach4_v1.py:48-49.  The '@' guard is implied by the regex
-    (it cannot match without one), so '@'-free documents — most of a web
-    corpus — skip the scan entirely (profiled kernel win)."""
-    if "@" not in text:
+    """M1 — approach4_v1.py:48-49, scanning only the window that can hold a
+    match (module docstring)."""
+    last = text.rfind("@")
+    if last < 0:
         return []
-    return sorted(set(EMAIL_RE.findall(text)))
+    start = text.find("@")
+    while start and text[start - 1] in _EMAIL_LOCAL_CHARS:
+        start -= 1
+    end = _EMAIL_HOST_RUN_RE.match(text, last + 1).end() + 1
+    return sorted(set(EMAIL_RE.findall(text, start, end)))
 
 
-_DIGIT_RE = re.compile(r"\d")
+# ASCII digit -> b"0", every other byte -> b" ": a run of n digits becomes
+# b"0" * n, found by one bytes.find.
+_DIGITS_TO_ZERO = bytes(48 if 48 <= b <= 57 else 32 for b in range(256))
+_RUN3_RE = re.compile(r"\d{3}")
+
+
+def _digit_runs(text: str) -> tuple:
+    """Start of the first run of 3 digits and a lower bound on the start of
+    the first run of 10 (-1 when there is no run of 3)."""
+    if text.isascii():
+        zeros = text.encode("ascii").translate(_DIGITS_TO_ZERO)
+        run3 = zeros.find(b"000")
+        return run3, zeros.find(b"0000000000", run3) if run3 >= 0 else -1
+    m = _RUN3_RE.search(text)  # \d also matches non-ASCII digits
+    return (m.start(), m.start()) if m else (-1, -1)
 
 
 def extract_phones(text: str) -> list:
-    """M2 — approach4_v1.py:51-65 (4 alternative patterns, len>=7 filter).
-    Guard is regex-implied (every pattern needs a digit)."""
-    if _DIGIT_RE.search(text) is None:
-        return []
-    phones = []
-    for pat in PHONE_RES:
-        phones.extend(pat.findall(text))
+    """M2 — approach4_v1.py:51-65 (4 alternative patterns, len>=7 filter)."""
+    phones = PHONE_RES[0].findall(text) if "+" in text else []
+    run3, run10 = _digit_runs(text)
+    if run3 >= 0:
+        phones += PHONE_RES[1].findall(text, max(run3 - 1, 0))
+        phones += PHONE_RES[2].findall(text, run3)
+        if run10 >= 0:
+            phones += PHONE_RES[3].findall(text, run10)
     return sorted({p.strip() for p in phones if len(p.strip()) >= 7})
 
 
@@ -177,12 +238,26 @@ def extract_address(text: str) -> str:
     return ""
 
 
+# (keyword, its characters, the shorter keywords inside it), shortest first
+# so every inner keyword is decided before its container.
+_SKILL_PLAN = [
+    (k, frozenset(k), frozenset(j for j in SKILL_KEYWORDS if j != k and j in k))
+    for k in sorted(SKILL_KEYWORDS, key=len)
+]
+_SKILL_CHARS = frozenset("".join(SKILL_KEYWORDS))
+
+
 def extract_skills(text: str, _low: str | None = None) -> list:
     """M7 — approach4_v1.py:85-109: substring match against fixed vocabulary,
     title-cased output. Vocabulary is a module constant => naturally broadcast
     (captured once in the task closure, never re-shipped per batch)."""
-    text_lower = _low if _low is not None else text.lower()
-    return sorted({s.title() for s in SKILL_KEYWORDS if s in text_lower})
+    low = _low if _low is not None else text.lower()
+    present = {c for c in _SKILL_CHARS if c in low}
+    found = set()
+    for kw, chars, inner in _SKILL_PLAN:
+        if chars <= present and inner <= found and kw in low:
+            found.add(kw)
+    return sorted({s.title() for s in found})
 
 
 def split_skills(items) -> list:
@@ -200,20 +275,26 @@ def extract_education(text: str, _low: str | None = None) -> dict:
     """M9 — approach4_v1.py:111-127 degrees + institution/GPA regex family
     (approach4_v2.py:122-162)."""
     low = _low if _low is not None else text.lower()
-    degrees = set()
-    for pat in DEGREE_RES:
-        degrees.update(pat.findall(low))
-    # Guards below are regex-implied literals (INSTITUTION_RE needs one of
-    # the three capitalized words; GPA_RE needs 'gpa' — 'cgpa' contains it).
     insts = (sorted(set(INSTITUTION_RE.findall(text)))
              if ("University" in text or "Institute" in text
                  or "College" in text) else [])
-    gpa = sorted(set(GPA_RE.findall(low))) if "gpa" in low else []
     return {
-        "degrees": sorted(degrees),
+        "degrees": _degrees(low),
         "institutions": insts,
-        "gpa": gpa,
+        "gpa": _gpa(low),
     }
+
+
+def _degrees(low: str) -> list:
+    degrees = set(DEGREE_RES[0].findall(low))
+    if "graduate" in low:
+        degrees.update(DEGREE_RES[1].findall(low))
+    return sorted(degrees)
+
+
+def _gpa(low: str) -> list:
+    i = low.find("gpa")
+    return [] if i < 0 else sorted(set(GPA_RE.findall(low, i)))
 
 
 def extract_experience_years(text: str) -> list:
@@ -301,15 +382,14 @@ def extract_all_fields(text: str) -> dict:
     Output shape mirrors FIXTURES.md §1.2 ``expected_fields``.
     """
     low = text.lower()  # shared across the lowercase-matching extractors
-    edu = extract_education(text, _low=low)
     return {
         "emails": extract_emails(text),
         "phones": extract_phones(text),
         "linkedin": extract_linkedin(text, _low=low),
         "github": extract_github(text, _low=low),
         "skills": extract_skills(text, _low=low),
-        "degrees": edu["degrees"],
-        "gpa": edu["gpa"],
+        "degrees": _degrees(low),
+        "gpa": _gpa(low),
     }
 
 

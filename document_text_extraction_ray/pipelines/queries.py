@@ -47,16 +47,15 @@ def _read_pq(path, **kwargs):
     pays per-block fixed cost (the materialize_compact lesson, applied at
     the READ, where the fragmentation starts).  Small columnar-scan
     tables get ceil(size / 0.5 MB) blocks (floor 4 so partials still
-    parallelize, cap 64); ``documents`` and any file >= 32 MB keep Ray's
-    own parallelism heuristic unchanged — the 100-TB path is untouched."""
+    parallelize, cap 64); ``documents``, any file >= 32 MB and any
+    directory (whose own size says nothing about its data) keep Ray's own
+    parallelism heuristic unchanged — the 100-TB path is untouched."""
     if ("override_num_blocks" not in kwargs
             and isinstance(path, str)
-            and os.path.basename(path) not in _HEAVY_TABLES):
-        try:
-            sz = os.path.getsize(path)
-        except OSError:
-            sz = None
-        if sz is not None and sz < (32 << 20):
+            and os.path.basename(path) not in _HEAVY_TABLES
+            and os.path.isfile(path)):
+        sz = os.path.getsize(path)
+        if sz < (32 << 20):
             kwargs["override_num_blocks"] = max(
                 4, min(64, int(-(-sz // (512 * 1024)))))
     return rd.read_parquet(path, **kwargs)

@@ -23,6 +23,10 @@ from ..functions.html_extract import DEFAULT_CONFIG, ExtractConfig, extract_page
 
 EXTRACTOR_VERSION = "dte-ray-0.1.0"
 
+# Fields of an error row (its text is ""), computed once and shared: the
+# row's dict is only read while the Arrow column is built.
+_ERROR_ROW_FIELDS = F.extract_all_fields("")
+
 
 def url_bucket_array(urls, n_buckets: int) -> pa.Array:
     """crc32(url) % n_buckets — the engine's single partitioning key
@@ -82,7 +86,7 @@ class HtmlExtractor:
                 statuses.append("error")
                 errors.append(f"{type(exc).__name__}: {exc}")
                 if self.with_fields:
-                    fields_col.append(F.extract_all_fields(""))
+                    fields_col.append(_ERROR_ROW_FIELDS)
 
         arrays = [
             batch.column("url"),

@@ -1119,7 +1119,7 @@ def resolve_pointers(redirects, src_col: str = "src", dst_col: str = "dst",
     materialize.
 
     The map must be FUNCTIONAL (enforced) and ACYCLIC: a cycle never
-    stops advancing, so if anything still moves after ``max_rounds``
+    stops advancing, so if anything would still move after ``max_rounds``
     doublings (reach 2^max_rounds) a ValueError names the surviving count
     rather than looping forever.  Returns a Dataset of (src, final,
     hops)."""
@@ -1175,7 +1175,10 @@ def resolve_pointers(redirects, src_col: str = "src", dst_col: str = "dst",
                   + np.where(moved, m["d2"].fillna(0), 0).astype(np.int64)),
             "moved": moved.astype(np.int64)})
 
-    for _round in range(max_rounds):
+    # A round that still moved pointers says nothing about the next one, so
+    # after max_rounds doublings one more round confirms: it raises only if
+    # something would still advance.
+    for _round in range(max_rounds + 1):
         check = _round == 0
         tagged = state.map_batches(
             lambda t: tag(t, 0), batch_format="pyarrow").union(

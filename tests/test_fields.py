@@ -1,6 +1,11 @@
 """Unit tests for field extractors M1-M13 — reference regex semantics
 (file:line cites in functions/fields.py docstrings)."""
 
+import re
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from document_text_extraction_ray.functions import fields as F
 
 
@@ -96,3 +101,102 @@ def test_extract_all_fields_shape():
     out = F.extract_all_fields("jane@x.io knows python, GPA: 3.5, Bachelor deg")
     assert set(out) == {"emails", "phones", "linkedin", "github", "skills", "degrees", "gpa"}
     assert out["emails"] == ["jane@x.io"]
+
+
+# --- Equivalence of the prefiltered extractors with the literal formulas ---
+#
+# The oracle below is the extractors' original form: every pattern scanned
+# over the whole text with no guard.  The shipped extractors skip or shorten
+# scans where a match cannot exist; they must return the same values.
+
+_O_EMAIL = re.compile(r"\b[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Z|a-z]{2,}\b")
+_O_PHONES = [
+    re.compile(r"\+\d{1,3}[-.\s]?\d{1,4}[-.\s]?\d{1,4}[-.\s]?\d{1,9}"),
+    re.compile(r"\(\d{3}\)[-.\s]?\d{3}[-.\s]?\d{4}"),
+    re.compile(r"\d{3}[-.\s]?\d{3}[-.\s]?\d{4}"),
+    re.compile(r"\d{10,}"),
+]
+_O_LINKEDIN = re.compile(r"linkedin\.com/in/[\w-]+")
+_O_GITHUB = re.compile(r"github\.com/[\w-]+")
+_O_DEGREES = [
+    re.compile(r"\b(bachelor|master|phd|doctorate|diploma|certificate"
+               r"|b\.?\s*[a-z]+|m\.?\s*[a-z]+|ph\.?\s*d\.?)\b"),
+    re.compile(r"\b(undergraduate|graduate|postgraduate)\b"),
+]
+_O_GPA = re.compile(r"(?:gpa|cgpa)[:\s]*([0-9]\.[0-9]+)")
+_O_INSTITUTION = re.compile(
+    r"\b(?:University|Institute|College) of [A-Z][A-Za-z ]+")
+
+
+def _oracle(text: str) -> dict:
+    low = text.lower()
+    phones = [p.strip() for pat in _O_PHONES for p in pat.findall(text)]
+    degrees = {d for pat in _O_DEGREES for d in pat.findall(low)}
+    return {
+        "emails": sorted(set(_O_EMAIL.findall(text))),
+        "phones": sorted({p for p in phones if len(p) >= 7}),
+        "linkedin": sorted(set(_O_LINKEDIN.findall(low))),
+        "github": sorted(set(_O_GITHUB.findall(low))),
+        "skills": sorted({s.title() for s in F.SKILL_KEYWORDS if s in low}),
+        "degrees": sorted(degrees),
+        "institutions": sorted(set(_O_INSTITUTION.findall(text))),
+        "gpa": sorted(set(_O_GPA.findall(low))),
+    }
+
+
+def _shipped(text: str) -> dict:
+    edu = F.extract_education(text)
+    return {
+        "emails": F.extract_emails(text),
+        "phones": F.extract_phones(text),
+        "linkedin": F.extract_linkedin(text),
+        "github": F.extract_github(text),
+        "skills": F.extract_skills(text),
+        **edu,
+    }
+
+
+# Characters and fragments aimed at each guard: digits (ASCII and Arabic-
+# Indic), phone punctuation, '@' and the email classes including '|', a
+# non-ASCII word character, and keyword pieces that overlap or nest.
+_ATOMS = list("ab@.-_%+|()0123456789 \n\t:/#cdgimoprstuxBMPU\u00e9\u0663\u00a0") + [
+    "java", "script", "sql", "my", "postgre", "go", "django", "mongo", "db",
+    "linux", "c++", "c#", "ci/cd", "machine learning", "bachelor", "master",
+    "phd", "ph.d.", "b.sc", "m. tech", "graduate", "under", "post", "gpa",
+    "cgpa", "University of X", "linkedin.com/in/", "github.com/", "x.com",
+    "@e.org", "123", "4567", "(123) 456-7890", "+44 ", "\u0663\u0664\u0665",
+    ".co|uk", "A|b",
+]
+_TEXTS = st.lists(st.sampled_from(_ATOMS), max_size=40).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_TEXTS)
+@example("\u0663\u0664\u0665-555-1234")               # non-ASCII \d
+@example("call +\u0661 555 123 4567 now")
+@example("x@y.co|uk and a@b.c|d")                     # '|' in the TLD class
+@example("me@site.com\u00e9 and you@site.org\u00e9")  # non-ASCII word char after TLD
+@example("\u00e9bachelor \u00e9master m.sc")          # ... and before a degree
+@example("a@b@c.com, x@y.z@w.org, @@q@r.io")          # chained '@'
+@example("mysqlinux javascript djangox mongodb")     # overlapping skills
+@example("(123) 456-7890 and 12345678901234 and 123456789")
+@example("123-4567890123")                            # 10-run behind a match
+@example("phd.x ph.d.x b.sc. m  tech")                # order within a letter
+@example("a graduate, postgraduate or undergraduate.")
+@example("GPA: 3.9, cgpa 3.75, xgpa:2.5")
+@example("")
+def test_extractors_match_literal_formulas(text):
+    want = _oracle(text)
+    assert _shipped(text) == want
+    del want["institutions"]
+    assert F.extract_all_fields(text) == want
+
+
+def test_literal_oracle_cases_hit():
+    """The fixed traps exercise the guards they target, not empty outputs."""
+    out = _oracle("\u0663\u0664\u0665-555-1234 mysqlinux a@b@c.com \u00e9bachelor")
+    assert out["phones"] == ["\u0663\u0664\u0665-555-1234"]
+    assert out["skills"] == ["Linux", "Mysql", "Sql"]
+    assert out["emails"] == ["b@c.com"]
+    assert "bachelor" not in out["degrees"]
+    assert _shipped("x@y.co|uk")["emails"] == ["x@y.co|uk"]

@@ -444,6 +444,16 @@ def test_resolve_pointers_chains_cycle_and_nonfunctional():
     with pytest.raises(ValueError, match="cycle"):
         resolve_pointers(rd.from_items(cyc), max_rounds=4, n_buckets=2)
 
+    # a chain of 4 hops moves pointers in both of 2 rounds and is then
+    # fully resolved: no spurious cycle error; 1 round is too few
+    chain = [{"src": i, "dst": i - 1} for i in range(1, 5)]
+    out = resolve_pointers(rd.from_items(chain), max_rounds=2, n_buckets=2) \
+        .to_pandas().sort_values("src")
+    assert out["final"].tolist() == [0, 0, 0, 0]
+    assert out["hops"].tolist() == [1, 2, 3, 4]
+    with pytest.raises(ValueError, match="cycle"):
+        resolve_pointers(rd.from_items(chain), max_rounds=1, n_buckets=2)
+
     # a src with two outgoing pointers is rejected (non-functional map)
     bad = [{"src": 1, "dst": 2}, {"src": 1, "dst": 3}]
     with pytest.raises(ValueError, match="non-functional"):

@@ -77,6 +77,12 @@ def test_poison_row_yields_error_status():
     assert out.column("status").to_pylist() == ["error", "ok"]
     assert out.column("extracted_text").to_pylist()[1] == "good row content here"
 
+    from document_text_extraction_ray.functions.fields import extract_all_fields
+
+    out = HtmlExtractor(with_fields=True)(batch)
+    assert out.column("status").to_pylist() == ["error", "ok"]
+    assert out.column("fields").to_pylist()[0] == extract_all_fields("")
+
 
 def test_status_summary():
     corpus = synth_corpus_dataset(64, seed=42)

@@ -119,3 +119,21 @@ def test_augmentation_oracles_null_text_parity():
                   ",".join(extract_experience_years(aug)),
                   is_date_like(aug), len(chunk_paragraphs(aug)))
         assert sql[i] == expect, (i, sql[i], expect)
+
+
+def test_read_pq_sizes_small_files_and_passes_directories_through(
+        tmp_path, monkeypatch):
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from document_text_extraction_ray.pipelines import queries as Q
+
+    calls = []
+    monkeypatch.setattr(Q.rd, "read_parquet",
+                        lambda path, **kw: calls.append((path, kw)))
+    f = str(tmp_path / "events.parquet")
+    pq.write_table(pa.table({"x": [1, 2, 3]}), f)
+    Q._read_pq(f, columns=["x"])
+    Q._read_pq(str(tmp_path), columns=["x"])
+    assert calls == [(f, {"columns": ["x"], "override_num_blocks": 4}),
+                     (str(tmp_path), {"columns": ["x"]})]
