@@ -18,6 +18,36 @@ element (the common case: ``<p>...</p>``), the span is
 (end-of-opening-tag, start-of-closing-tag).  When text sits directly inside a
 container mixed with other block elements, the span falls back to
 (first-text-token-start, last-text-token-end).
+
+Tokenizer.  ``extract_blocks`` makes one ``_TOKEN_RE.findall`` pass; each
+match is ``(text_before, markup, slash, name, attrs, stop)`` and Python only
+runs the block state machine over those tuples.  The markup alternatives
+keep the precedence of a hand-written ``<``/``>`` scanner: a comment runs to
+``-->`` or the end of input; other ``<!``/``<?`` markup to the first ``>``;
+a raw-text element (SKIP_CONTENT_TAGS) swallows its content up to the
+literal, case-insensitive ``</name>`` unless its name goes on (``<scriptx>``)
+or its open tag is self-closing (``<script/>``), both of which are
+transparent tags; anything else up to the first ``>`` is a tag; a ``<``
+with no later ``>`` ends the scan.  The state machine is exact because:
+
+* byte offsets are the running sum of the token lengths, and the matches
+  tile the input, so every span is an offset into the original bytes;
+* one dict maps raw name bytes to ``(lowercased tag, kind)``, the same name
+  and class a ``[a-zA-Z][a-zA-Z0-9]*`` match plus the tag sets give;
+* an ASCII-whitespace text token is appended as ``" "`` without decoding:
+  blocks are normalized with ``" ".join(raw.split())``, which maps any
+  whitespace run to one space;
+* the governing element is the innermost open block element when the block
+  is flushed: the stack only changes at a block open or a matched close,
+  and both flush the current block first, so it is the stack at the block's
+  first text;
+* inside a dropped subtree no class attribute is parsed and only the
+  outermost dropped element is recorded: a nested element's own verdict
+  cannot show while its dropped ancestor is open, and closing the ancestor
+  pops it too;
+* "clean" (the governing element holds one uninterrupted text run) is a
+  counter of block opens and mid-element flushes, compared with its value
+  when the element was opened.
 """
 
 from __future__ import annotations
@@ -36,7 +66,11 @@ _BODY_CACHE: dict = {}
 
 
 def _tag_name(body: bytes):
-    """(tag_str, attrs_bytes) for an opening/closing tag body."""
+    """(tag_str, attrs_bytes) for an opening/closing tag body.
+
+    For the scanners other than ``extract_blocks`` (outlinks, tables, head
+    meta, publish date): their comment and raw-text rules differ from
+    ``_TOKEN_RE``'s, so they keep their own loops."""
     hit = _BODY_CACHE.get(body)
     if hit is not None:
         return hit, b""
@@ -99,27 +133,6 @@ class ExtractConfig:
 DEFAULT_CONFIG = ExtractConfig()
 
 
-class _Block:
-    """One candidate text block accumulated between block-tag boundaries.
-
-    Plain __slots__ class (not a dataclass): one is constructed per flush
-    — ~34/page — and the dataclass-generated __init__ showed up in the
-    kernel profile."""
-
-    __slots__ = ("parts", "n_chars", "link_chars", "gov_depth", "gov_tag",
-                 "gov_open_end", "first_text_start", "last_text_end")
-
-    def __init__(self):
-        self.parts = []        # unescaped text pieces, raw whitespace
-        self.n_chars = 0       # sum of stripped piece lengths
-        self.link_chars = 0    # chars contributed inside <a>
-        self.gov_depth = -1    # stack depth of governing block element
-        self.gov_tag = ""
-        self.gov_open_end = -1  # byte offset just after governing open tag
-        self.first_text_start = -1
-        self.last_text_end = -1
-
-
 def _parse_class_attr(tag_body: bytes) -> frozenset:
     """Extract lowercase class tokens from the attribute region of an open tag."""
     idx = tag_body.find(b"class")
@@ -144,6 +157,41 @@ def _parse_class_attr(tag_body: bytes) -> frozenset:
         return _NO_CLASSES
 
 
+# One match per token: (text_before, markup, slash, name, attrs, stop); the
+# alternatives and their order are set out in the module docstring.  `stop`
+# takes the rest of the input: a tail with no `>` is scanned once, not once
+# per `<` in it.  The lookahead on the raw-text names' first letters lets
+# most tags skip the raw-text alternatives at once.
+_SKIP_NAMES = sorted(name.encode() for name in SKIP_CONTENT_TAGS)
+_RAW_TEXT = (
+    rb"(?i:(?=[" + bytes(sorted({t[0] for t in _SKIP_NAMES})) + rb"])(?:"
+    + b"|".join(t + rb"(?![a-zA-Z0-9])[^>]*(?<!/)>.*?(?:</" + t + rb">|\Z)"
+                for t in _SKIP_NAMES)
+    + rb"))"
+)
+_TOKEN_RE = _re.compile(
+    rb"([^<]*)(?:(<(?:!--.*?(?:-->|\Z)|[!?][^>]*>?|" + _RAW_TEXT
+    + rb"|(/?)([a-zA-Z][a-zA-Z0-9]*|)([^>]*)>))|(<.*)|\Z)",
+    _re.S,
+)
+
+# What a tag does to the block state machine.  Raw-text elements only reach
+# the generic alternative when self-closing (or as closing tags), and void
+# tags other than <br>/<hr> do nothing, so both are transparent.
+_INLINE, _BLOCK, _A, _TITLE, _BR, _HR = range(6)
+_OTHER_KINDS = {"a": _A, "title": _TITLE, "br": _BR, "hr": _HR}
+# Raw tag-name bytes -> (lowercased tag, kind).
+_TAG_KINDS: dict = {}
+
+
+def _tag_kind(raw: bytes):
+    tag = raw.decode("ascii").lower()
+    kind = _BLOCK if tag in BLOCK_TAGS else _OTHER_KINDS.get(tag, _INLINE)
+    if len(_TAG_KINDS) < 4096:  # bound the cache against adversarial input
+        _TAG_KINDS[raw] = (tag, kind)
+    return tag, kind
+
+
 def extract_blocks(
     html_bytes: bytes,
     config: ExtractConfig = DEFAULT_CONFIG,
@@ -157,185 +205,135 @@ def extract_blocks(
     where (start, end) are byte offsets into ``html_bytes`` (span convention in
     the module docstring) and ``kind`` is the governing element's tag name.
     """
-    n = len(html_bytes)
-    pos = 0
-    lower_cache = None  # lazily lowercased copy, only if raw-text elements appear
-    # Stack entries are mutable lists: [tag, dropped, open_end, clean].
-    # clean == True while the element's inner content so far is a single
-    # uninterrupted text run (no nested block elements, no mid-element flush).
+    min_chars = config.min_chars
+    max_link_density = config.max_link_density
+    unescape = _html.unescape
+    tag_kinds = _TAG_KINDS
+    # Open block elements, innermost last: (tag, open_end, seq at open).
+    # ``seq`` counts block opens and mid-element flushes, so an element is
+    # clean (its inner content so far is one uninterrupted text run) while
+    # ``seq`` still equals the value it was opened with.
     stack: list = []
-    drop_depth = 0        # >0 => inside a dropped subtree
+    seq = 0
+    dropped_at = -1       # stack index of the outermost dropped element, or -1
     link_depth = 0        # >0 => inside <a>
     in_title = False      # inside the first <title> element (captured even
     title_parts: list = []  # though <head> is a dropped subtree)
     title_done = False
     kept: list = []
-    cur = _Block()
+    # The current block.  ``parts`` is empty whenever ``dropped_at >= 0``.
+    parts: list = []      # unescaped text pieces, raw whitespace
+    n_chars = 0           # sum of stripped piece lengths
+    link_chars = 0        # chars contributed inside <a>
+    first_start = -1      # byte span of the block's non-whitespace text
+    last_end = -1
 
-    def flush(close_tag_start: int = -1, closing_depth: int = -1, gov_clean: bool = False):
-        nonlocal cur
-        if cur.parts:
-            raw = "".join(cur.parts)
-            text = " ".join(raw.split())
-            if text:
-                density = cur.link_chars / cur.n_chars if cur.n_chars else 0.0
-                if len(text) >= config.min_chars and density <= config.max_link_density:
-                    if (
-                        close_tag_start >= 0
-                        and closing_depth == cur.gov_depth
-                        and cur.gov_open_end >= 0
-                        and gov_clean
-                    ):
-                        start, end = cur.gov_open_end, close_tag_start
-                    else:
-                        start, end = cur.first_text_start, cur.last_text_end
-                    kept.append(
-                        {
-                            "text": text,
-                            "start": start,
-                            "end": end,
-                            "kind": cur.gov_tag or "text",
-                            "n_chars": len(text),
-                            "link_density": density,
-                        }
-                    )
-            cur = _Block()
-        elif cur.gov_depth != -1:
-            cur = _Block()
-
-    def mark_all_unclean():
-        for entry in stack:
-            entry[3] = False
-
-    while pos < n:
-        lt = html_bytes.find(b"<", pos)
-        if lt < 0:
-            lt = n
-        if lt > pos:
-            # Text token between tags.
-            if in_title and not title_done:
-                title_parts.append(
-                    _html.unescape(html_bytes[pos:lt].decode("utf-8", "replace"))
+    def flush(close_start: int = -1, clean: bool = False):
+        # The governing element is the innermost open block element: the
+        # stack cannot change between a block's first text and its flush.
+        # ``clean``: ``close_start`` closes the governing element, which
+        # stayed clean, so the span is its inner content.
+        nonlocal parts, n_chars, link_chars, first_start, last_end
+        text = " ".join("".join(parts).split())
+        if text:
+            density = link_chars / n_chars if n_chars else 0.0
+            if len(text) >= min_chars and density <= max_link_density:
+                if clean:
+                    start, end = stack[-1][1], close_start
+                else:
+                    start, end = first_start, last_end
+                kept.append(
+                    {
+                        "text": text,
+                        "start": start,
+                        "end": end,
+                        "kind": stack[-1][0] if stack else "text",
+                        "n_chars": len(text),
+                        "link_density": density,
+                    }
                 )
-            if drop_depth == 0:
-                piece = _html.unescape(html_bytes[pos:lt].decode("utf-8", "replace"))
-                if cur.gov_depth == -1:
-                    # Governing element = innermost open block element.
-                    for d in range(len(stack) - 1, -1, -1):
-                        if stack[d][0] in BLOCK_TAGS:
-                            cur.gov_depth = d
-                            cur.gov_tag = stack[d][0]
-                            cur.gov_open_end = stack[d][2]
-                            break
-                stripped_len = len(piece.strip())
-                if stripped_len:
-                    if cur.first_text_start < 0:
-                        cur.first_text_start = pos
-                    cur.last_text_end = lt
-                cur.parts.append(piece)
-                cur.n_chars += stripped_len
-                if link_depth > 0:
-                    cur.link_chars += stripped_len
-            pos = lt
-            continue
-        if lt >= n:
-            break
-        # Tag token starting at lt.
-        second = html_bytes[lt + 1] if lt + 1 < n else 0
-        if second == 33 or second == 63:  # b'!' / b'?'
-            if html_bytes.startswith(b"<!--", lt):
-                end = html_bytes.find(b"-->", lt + 4)
-                pos = (end + 3) if end >= 0 else n
-                continue
-            gt_ = html_bytes.find(b">", lt)
-            pos = (gt_ + 1) if gt_ >= 0 else n
-            continue
-        gt_ = html_bytes.find(b">", lt)
-        if gt_ < 0:
-            break
-        tag_end = gt_ + 1
-        body = html_bytes[lt + 1: gt_]
-        closing = second == 47  # b'/'
-        if closing:
-            body = body[1:]
-        self_closing = body.endswith(b"/")
-        if self_closing:
-            body = body[:-1]
-        tag, attrs = _tag_name(body)
+        parts = []
+        n_chars = link_chars = 0
+        first_start = last_end = -1
 
-        if closing:
-            if tag == "title":
+    pos = 0
+    for text, markup, slash, name, attrs, stop in _TOKEN_RE.findall(html_bytes):
+        if text:
+            end = pos + len(text)
+            if in_title:
+                title_parts.append(unescape(text.decode("utf-8", "replace")))
+            if dropped_at < 0:
+                if text.isspace():
+                    parts.append(" ")
+                else:
+                    piece = text.decode("utf-8", "replace")
+                    if "&" in piece:  # else html.unescape returns it as is
+                        piece = unescape(piece)
+                    parts.append(piece)
+                    stripped_len = len(piece.strip())
+                    if stripped_len:
+                        if first_start < 0:
+                            first_start = pos
+                        last_end = end
+                        n_chars += stripped_len
+                        if link_depth:
+                            link_chars += stripped_len
+            pos = end
+        if not name:
+            if stop:
+                break
+            pos += len(markup)
+            continue
+        tag_end = pos + len(markup)
+        hit = tag_kinds.get(name)
+        tag, kind = hit if hit is not None else _tag_kind(name)
+
+        if slash:
+            if kind == _BLOCK:
+                d = len(stack) - 1
+                while d >= 0 and stack[d][0] != tag:
+                    d -= 1
+                if d >= 0:
+                    if parts:
+                        flush(pos, d == len(stack) - 1 and stack[d][2] == seq)
+                    del stack[d:]
+                    if dropped_at >= d:
+                        dropped_at = -1
+            elif kind == _A:
+                if link_depth > 0:
+                    link_depth -= 1
+            elif kind == _TITLE:
                 if in_title:
                     in_title = False
                     title_done = True
-            elif tag == "a":
-                if link_depth > 0:
-                    link_depth -= 1
-            elif tag in BLOCK_TAGS:
-                match = -1
-                for d in range(len(stack) - 1, -1, -1):
-                    if stack[d][0] == tag:
-                        match = d
-                        break
-                if match >= 0:
-                    if drop_depth == 0:
-                        flush(close_tag_start=lt, closing_depth=match,
-                              gov_clean=stack[match][3])
-                    while len(stack) > match:
-                        popped = stack.pop()
-                        if popped[1]:
-                            drop_depth -= 1
-            pos = tag_end
-            continue
-
-        # Opening tag.
-        if tag in SKIP_CONTENT_TAGS and not self_closing:
-            close_pat = b"</" + tag.encode() + b">"
-            if lower_cache is None:
-                lower_cache = html_bytes.lower()
-            end = lower_cache.find(close_pat, tag_end)
-            pos = (end + len(close_pat)) if end >= 0 else n
-            continue
-        if tag == "a":
-            link_depth += 1
-            pos = tag_end
-            continue
-        if tag == "title" and not title_done:
-            in_title = True
-            pos = tag_end
-            continue
-        if tag in VOID_TAGS:
-            if drop_depth == 0:
-                if tag == "br":
-                    cur.parts.append("\n")
-                elif tag == "hr":
-                    if cur.parts:
-                        mark_all_unclean()
-                    flush()
-            pos = tag_end
-            continue
-        if tag in BLOCK_TAGS:
-            if drop_depth == 0:
+        elif kind == _BLOCK:
+            if parts:
                 flush()
-            mark_all_unclean()
-            classes = _parse_class_attr(attrs)
-            dropped = (
-                tag in drop_subtree_tags
-                or not classes.isdisjoint(blocklist_class_tokens)
-            )
-            stack.append([tag, dropped, tag_end, True])
-            if dropped:
-                drop_depth += 1
-            if self_closing:
-                popped = stack.pop()
-                if popped[1]:
-                    drop_depth -= 1
-            pos = tag_end
-            continue
-        # Inline / unknown tag: transparent.
+            seq += 1
+            # A self-closing block element opens and closes at once.
+            if not attrs.endswith(b"/"):
+                if dropped_at < 0 and (
+                    tag in drop_subtree_tags
+                    or (attrs and not _parse_class_attr(attrs).isdisjoint(
+                        blocklist_class_tokens))
+                ):
+                    dropped_at = len(stack)
+                stack.append((tag, tag_end, seq))
+        elif kind == _A:
+            link_depth += 1
+        elif kind == _TITLE:
+            if not title_done:
+                in_title = True
+        elif dropped_at < 0:
+            if kind == _BR:
+                parts.append("\n")
+            elif kind == _HR and parts:
+                seq += 1
+                flush()
         pos = tag_end
 
-    flush()
+    if parts:
+        flush()
     title = " ".join("".join(title_parts).split())
     return kept, title
 

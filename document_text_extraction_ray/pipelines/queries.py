@@ -9638,6 +9638,17 @@ ORACLE_SQL["structured_fold"] = rf"""
 # through split_skills (len 2..40 + token-charset filter, distinct,
 # sorted).  Contact stays {} because the corpus text has no '@' / digits
 # / profile urls (same verified invariant structured_fold relies on).
+# The replay also needs these corpus invariants, which hold for the
+# documents tables of sf0.001, sf0.01 and sf0.1:
+# - text is one line of printable ASCII whose words are separated by
+#   spaces only: the oracle splits on ' ' where the query uses str.split(),
+#   and the SUMMARY must stay one text node;
+# - none of the first three words holds a SKILL_SPLIT_RE character
+#   (',', '|', '/', '•', ';'): split_skills splits such a word into
+#   several skills, while the oracle's charset filter drops it whole;
+# - text holds no '"', backslash or control character: json.dumps escapes
+#   those (and, with ensure_ascii, all non-ASCII), the SQL concatenation
+#   does not.
 # Multi-line header/entry folding is covered by unit tests
 # (test_structured_models).
 ORACLE_SQL["structured_graph"] = r"""
@@ -9662,23 +9673,19 @@ ORACLE_SQL["structured_graph"] = r"""
 """
 
 
-def _sql_bpe_apply(s_expr: str, a_expr: str, b_expr: str,
-                   passes: int = 5) -> str:
+def _sql_bpe_apply(s_expr: str, a_expr: str, b_expr: str) -> str:
     """SQL expression applying BPE merge (a, b) -> ab to a '|'-joined
-    symbol string — the delimited-replace replay of _apply_merges'
-    single left-to-right pass (stages/lexicon.py:282).  replace() scans
-    left-to-right non-overlapping exactly like the Python pass, but a
-    back-to-back repetition of the pattern shares its delimiter with the
-    previous match, so one call merges only alternate occurrences of a
-    run; each extra pass halves the remainder (log2 convergence), and 5
-    passes cover runs up to 32 repetitions — corpus words are < 64 chars,
-    so this is exact."""
-    expr = f"'|' || {s_expr} || '|'"
-    pat = f"'|' || {a_expr} || '|' || {b_expr} || '|'"
+    symbol string: exactly _apply_merges' single left-to-right pass
+    (stages/lexicon.py:282).  Each symbol gets its own pair of delimiters
+    ('a|b' -> '|a||b|'), so one occurrence of '|a||b|' covers exactly two
+    whole adjacent symbols and two occurrences never share a delimiter.
+    replace() then scans left to right and replaces non-overlapping
+    occurrences, which is the Python pass: a run 'b|b|b|b|b|b' under
+    (b, b) becomes 'bb|bb|bb'.  Symbols never contain '|'."""
+    wrapped = f"'|' || replace({s_expr}, '|', '||') || '|'"
+    pat = f"'|' || {a_expr} || '||' || {b_expr} || '|'"
     rep = f"'|' || {a_expr} || {b_expr} || '|'"
-    for _ in range(passes):
-        expr = f"replace({expr}, {pat}, {rep})"
-    return f"trim({expr}, '|')"
+    return f"replace(trim(replace({wrapped}, {pat}, {rep}), '|'), '||', '|')"
 
 
 def _sql_bpe_stage(k: int) -> str:
@@ -9705,7 +9712,7 @@ def _sql_bpe_stage(k: int) -> str:
 # Shared prefix for the BPE oracles: learn the 5 merges in SQL by
 # unrolling bpe_learn's loop — each iteration is pair counting over the
 # vocabulary-sized word table under the current segmentation, a top-1
-# pick, and the merge applied via delimited replace.  MATERIALIZED stops
+# pick, and the merge applied by one delimited replace.  MATERIALIZED stops
 # DuckDB re-inlining the (chained) CTEs exponentially.
 _SQL_BPE_PREFIX = """
     WITH words AS (
@@ -11393,8 +11400,8 @@ ORACLE_SQL["anomaly_events"] = """
 
 ORACLE_SQL["embedding_centroids"] = """
     SELECT CAST(label AS BIGINT) AS label, i AS dim,
-           SUM(CAST(ROUND(CAST(embedding[i] AS DOUBLE) * 1000000 ) AS BIGINT))
-               AS sum_e6,
+           CAST(SUM(CAST(ROUND(CAST(embedding[i] AS DOUBLE) * 1000000 ) AS BIGINT))
+                AS BIGINT) AS sum_e6,
            COUNT(*) AS n_vecs
     FROM embeddings, generate_series(1, 64) AS t(i)
     GROUP BY 1, 2 ORDER BY 1, 2
@@ -11505,7 +11512,7 @@ ORACLE_SQL["weighted_quantiles"] = """
                SUM(w) OVER (PARTITION BY l_returnflag) AS tot
         FROM a
     )
-    SELECT l_returnflag, MIN(tot) AS total_w,
+    SELECT l_returnflag, CAST(MIN(tot) AS BIGINT) AS total_w,
            MIN(cents) FILTER (WHERE cw * 100 >= 25 * tot) AS wp25,
            MIN(cents) FILTER (WHERE cw * 100 >= 50 * tot) AS wp50,
            MIN(cents) FILTER (WHERE cw * 100 >= 75 * tot) AS wp75
@@ -11520,7 +11527,7 @@ ORACLE_SQL["winsorized_stats"] = """
         FROM documents GROUP BY source
     )
     SELECT d.source, COUNT(*) AS n_rows,
-           SUM(LEAST(GREATEST(d.n_chars, b.lo), b.hi)) AS wsum
+           CAST(SUM(LEAST(GREATEST(d.n_chars, b.lo), b.hi)) AS BIGINT) AS wsum
     FROM documents d JOIN b USING (source)
     GROUP BY d.source ORDER BY d.source
 """
@@ -11577,7 +11584,7 @@ ORACLE_SQL["random_projection"] = """
         FROM generate_series(1, 64) AS a(i),
              generate_series(1, 8) AS b(j)
     )
-    SELECT x.vec_id, s.j AS dim, SUM(x.xq * s.sgn) AS proj
+    SELECT x.vec_id, s.j AS dim, CAST(SUM(x.xq * s.sgn) AS BIGINT) AS proj
     FROM x JOIN s USING (i)
     GROUP BY 1, 2 ORDER BY 1, 2
 """
@@ -11681,7 +11688,7 @@ ORACLE_SQL["union_by_name"] = """
     )
     SELECT source, COUNT(*) AS n_rows, COUNT(n_chars) AS n_with_chars,
            COUNT(lang) AS n_with_lang,
-           COALESCE(SUM(n_chars), 0) AS sum_chars
+           CAST(COALESCE(SUM(n_chars), 0) AS BIGINT) AS sum_chars
     FROM u GROUP BY source ORDER BY source
 """
 
@@ -11790,7 +11797,7 @@ ORACLE_SQL["grouped_heavy_hitters"] = """
         FROM documents
     )
     SELECT source, word, COUNT(*) AS est,
-           SUM(COUNT(*)) OVER (PARTITION BY source) AS n_total
+           CAST(SUM(COUNT(*)) OVER (PARTITION BY source) AS BIGINT) AS n_total
     FROM w GROUP BY source, word ORDER BY source, word
 """
 
@@ -12021,7 +12028,7 @@ ORACLE_SQL["embedding_gram"] = """
                END AS qv
         FROM x
     )
-    SELECT a.i AS i, b.i AS j, SUM(a.qv * b.qv) AS sxy
+    SELECT a.i AS i, b.i AS j, CAST(SUM(a.qv * b.qv) AS BIGINT) AS sxy
     FROM q a JOIN q b ON a.vec_id = b.vec_id AND b.i >= a.i
     GROUP BY a.i, b.i
     ORDER BY i, j
@@ -14504,9 +14511,9 @@ ORACLE_SQL["decayed_counts"] = """
       FROM events
     )
     SELECT event_type,
-           SUM(CASE WHEN age <= 40
-                    THEN CAST(1 AS BIGINT) << (40 - age)
-                    ELSE 0 END) AS decayed,
+           CAST(SUM(CASE WHEN age <= 40
+                         THEN CAST(1 AS BIGINT) << (40 - age)
+                         ELSE 0 END) AS BIGINT) AS decayed,
            COUNT(*) AS n
     FROM d GROUP BY event_type ORDER BY event_type
 """
@@ -14530,11 +14537,11 @@ ORACLE_SQL["posting_compression"] = r"""
     )
     SELECT term, COUNT(*) AS df,
            CAST(8 * COUNT(*) AS BIGINT) AS raw_bytes,
-           SUM(CASE WHEN val < 128 THEN 1
-                    WHEN val < 16384 THEN 2
-                    WHEN val < 2097152 THEN 3
-                    WHEN val < 268435456 THEN 4
-                    ELSE 5 END) AS packed_bytes
+           CAST(SUM(CASE WHEN val < 128 THEN 1
+                         WHEN val < 16384 THEN 2
+                         WHEN val < 2097152 THEN 3
+                         WHEN val < 268435456 THEN 4
+                         ELSE 5 END) AS BIGINT) AS packed_bytes
     FROM v GROUP BY term ORDER BY term
 """
 

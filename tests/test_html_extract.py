@@ -2,8 +2,22 @@
 
 import html as _html
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from document_text_extraction_ray.functions.html_extract import (
+    _INVISIBLE_ONLY,
+    _NO_CLASSES,
+    BLOCK_TAGS,
+    BLOCKLIST_CLASS_TOKENS,
+    DEFAULT_CONFIG,
+    DROP_SUBTREE_TAGS,
+    SKIP_CONTENT_TAGS,
+    VOID_TAGS,
     ExtractConfig,
+    _parse_class_attr,
+    _tag_name,
     extract_blocks,
     extract_main_text,
     visible_text,
@@ -318,3 +332,329 @@ def test_publish_date_ladder_and_validation():
         b'<html><meta name="date" content="2023-13-01">'
         b'<!-- <time datetime="2021-01-01"> --></html>',
         "nope") == (None, "none")
+
+
+# ---------------------------------------------------------------------------
+# Differential test: the token-regex ``extract_blocks`` against the
+# per-token scanner it replaced, kept here verbatim as the oracle.
+
+
+class _Block:
+    """One candidate text block accumulated between block-tag boundaries.
+
+    Plain __slots__ class (not a dataclass): one is constructed per flush
+    — ~34/page — and the dataclass-generated __init__ showed up in the
+    kernel profile."""
+
+    __slots__ = ("parts", "n_chars", "link_chars", "gov_depth", "gov_tag",
+                 "gov_open_end", "first_text_start", "last_text_end")
+
+    def __init__(self):
+        self.parts = []        # unescaped text pieces, raw whitespace
+        self.n_chars = 0       # sum of stripped piece lengths
+        self.link_chars = 0    # chars contributed inside <a>
+        self.gov_depth = -1    # stack depth of governing block element
+        self.gov_tag = ""
+        self.gov_open_end = -1  # byte offset just after governing open tag
+        self.first_text_start = -1
+        self.last_text_end = -1
+
+
+def oracle_extract_blocks(
+    html_bytes: bytes,
+    config: ExtractConfig = DEFAULT_CONFIG,
+    drop_subtree_tags: frozenset = DROP_SUBTREE_TAGS,
+    blocklist_class_tokens: frozenset = BLOCKLIST_CLASS_TOKENS,
+):
+    """Tokenize ``html_bytes`` and return the kept main-content blocks in
+    reading (document) order.
+
+    Returns a list of dicts ``{text, start, end, kind, n_chars, link_density}``
+    where (start, end) are byte offsets into ``html_bytes`` (span convention in
+    the module docstring) and ``kind`` is the governing element's tag name.
+    """
+    n = len(html_bytes)
+    pos = 0
+    lower_cache = None  # lazily lowercased copy, only if raw-text elements appear
+    # Stack entries are mutable lists: [tag, dropped, open_end, clean].
+    # clean == True while the element's inner content so far is a single
+    # uninterrupted text run (no nested block elements, no mid-element flush).
+    stack: list = []
+    drop_depth = 0        # >0 => inside a dropped subtree
+    link_depth = 0        # >0 => inside <a>
+    in_title = False      # inside the first <title> element (captured even
+    title_parts: list = []  # though <head> is a dropped subtree)
+    title_done = False
+    kept: list = []
+    cur = _Block()
+
+    def flush(close_tag_start: int = -1, closing_depth: int = -1, gov_clean: bool = False):
+        nonlocal cur
+        if cur.parts:
+            raw = "".join(cur.parts)
+            text = " ".join(raw.split())
+            if text:
+                density = cur.link_chars / cur.n_chars if cur.n_chars else 0.0
+                if len(text) >= config.min_chars and density <= config.max_link_density:
+                    if (
+                        close_tag_start >= 0
+                        and closing_depth == cur.gov_depth
+                        and cur.gov_open_end >= 0
+                        and gov_clean
+                    ):
+                        start, end = cur.gov_open_end, close_tag_start
+                    else:
+                        start, end = cur.first_text_start, cur.last_text_end
+                    kept.append(
+                        {
+                            "text": text,
+                            "start": start,
+                            "end": end,
+                            "kind": cur.gov_tag or "text",
+                            "n_chars": len(text),
+                            "link_density": density,
+                        }
+                    )
+            cur = _Block()
+        elif cur.gov_depth != -1:
+            cur = _Block()
+
+    def mark_all_unclean():
+        for entry in stack:
+            entry[3] = False
+
+    while pos < n:
+        lt = html_bytes.find(b"<", pos)
+        if lt < 0:
+            lt = n
+        if lt > pos:
+            # Text token between tags.
+            if in_title and not title_done:
+                title_parts.append(
+                    _html.unescape(html_bytes[pos:lt].decode("utf-8", "replace"))
+                )
+            if drop_depth == 0:
+                piece = _html.unescape(html_bytes[pos:lt].decode("utf-8", "replace"))
+                if cur.gov_depth == -1:
+                    # Governing element = innermost open block element.
+                    for d in range(len(stack) - 1, -1, -1):
+                        if stack[d][0] in BLOCK_TAGS:
+                            cur.gov_depth = d
+                            cur.gov_tag = stack[d][0]
+                            cur.gov_open_end = stack[d][2]
+                            break
+                stripped_len = len(piece.strip())
+                if stripped_len:
+                    if cur.first_text_start < 0:
+                        cur.first_text_start = pos
+                    cur.last_text_end = lt
+                cur.parts.append(piece)
+                cur.n_chars += stripped_len
+                if link_depth > 0:
+                    cur.link_chars += stripped_len
+            pos = lt
+            continue
+        if lt >= n:
+            break
+        # Tag token starting at lt.
+        second = html_bytes[lt + 1] if lt + 1 < n else 0
+        if second == 33 or second == 63:  # b'!' / b'?'
+            if html_bytes.startswith(b"<!--", lt):
+                end = html_bytes.find(b"-->", lt + 4)
+                pos = (end + 3) if end >= 0 else n
+                continue
+            gt_ = html_bytes.find(b">", lt)
+            pos = (gt_ + 1) if gt_ >= 0 else n
+            continue
+        gt_ = html_bytes.find(b">", lt)
+        if gt_ < 0:
+            break
+        tag_end = gt_ + 1
+        body = html_bytes[lt + 1: gt_]
+        closing = second == 47  # b'/'
+        if closing:
+            body = body[1:]
+        self_closing = body.endswith(b"/")
+        if self_closing:
+            body = body[:-1]
+        tag, attrs = _tag_name(body)
+
+        if closing:
+            if tag == "title":
+                if in_title:
+                    in_title = False
+                    title_done = True
+            elif tag == "a":
+                if link_depth > 0:
+                    link_depth -= 1
+            elif tag in BLOCK_TAGS:
+                match = -1
+                for d in range(len(stack) - 1, -1, -1):
+                    if stack[d][0] == tag:
+                        match = d
+                        break
+                if match >= 0:
+                    if drop_depth == 0:
+                        flush(close_tag_start=lt, closing_depth=match,
+                              gov_clean=stack[match][3])
+                    while len(stack) > match:
+                        popped = stack.pop()
+                        if popped[1]:
+                            drop_depth -= 1
+            pos = tag_end
+            continue
+
+        # Opening tag.
+        if tag in SKIP_CONTENT_TAGS and not self_closing:
+            close_pat = b"</" + tag.encode() + b">"
+            if lower_cache is None:
+                lower_cache = html_bytes.lower()
+            end = lower_cache.find(close_pat, tag_end)
+            pos = (end + len(close_pat)) if end >= 0 else n
+            continue
+        if tag == "a":
+            link_depth += 1
+            pos = tag_end
+            continue
+        if tag == "title" and not title_done:
+            in_title = True
+            pos = tag_end
+            continue
+        if tag in VOID_TAGS:
+            if drop_depth == 0:
+                if tag == "br":
+                    cur.parts.append("\n")
+                elif tag == "hr":
+                    if cur.parts:
+                        mark_all_unclean()
+                    flush()
+            pos = tag_end
+            continue
+        if tag in BLOCK_TAGS:
+            if drop_depth == 0:
+                flush()
+            mark_all_unclean()
+            classes = _parse_class_attr(attrs)
+            dropped = (
+                tag in drop_subtree_tags
+                or not classes.isdisjoint(blocklist_class_tokens)
+            )
+            stack.append([tag, dropped, tag_end, True])
+            if dropped:
+                drop_depth += 1
+            if self_closing:
+                popped = stack.pop()
+                if popped[1]:
+                    drop_depth -= 1
+            pos = tag_end
+            continue
+        # Inline / unknown tag: transparent.
+        pos = tag_end
+
+    flush()
+    title = " ".join("".join(title_parts).split())
+    return kept, title
+
+
+_PERMISSIVE = ExtractConfig(min_chars=1, max_link_density=1.0)
+
+
+def _assert_same_as_oracle(html: bytes):
+    assert extract_blocks(html) == oracle_extract_blocks(html)
+    # visible_text's permissive configuration.
+    assert extract_blocks(
+        html, _PERMISSIVE, _INVISIBLE_ONLY, _NO_CLASSES
+    ) == oracle_extract_blocks(html, _PERMISSIVE, _INVISIBLE_ONLY, _NO_CLASSES)
+
+
+_TOKENS = [
+    b"<", b">", b"/", b"!", b"?", b"-", b"<!--", b"-->", b"<!-->", b"<!-", b"<?x",
+    b"<!DOCTYPE html>", b"<<", b"< p>", b"</ p>", b"<//p>", b"</p/>", b"</>", b"<>",
+    b"<p>", b"</p>", b"<P>", b"</P >", b"<p/>", b"<div>", b"</div>", b"<DIV>",
+    b"<div class='nav'>", b"<div class=ad>", b'<div class="x sidebar">',
+    b"<div class=sidebar/>", b"<div class=sidebar />", b"<section class=", b"class=",
+    b"<nav>", b"</nav>", b"<head>", b"</head>", b"<footer>", b"</footer>",
+    b"<ul>", b"</ul>", b"<li>", b"</li>", b"<table>", b"<td>", b"</td>", b"</table>",
+    b"<script>", b"</script>", b"<SCRIPT>", b"</Script>", b"<script/>", b"<script />",
+    b"<scriptx>", b"<script type=x>", b"<style>", b"</style >", b"</style>",
+    b"<noscript>", b"</noscript>", b"<textarea>", b"</TEXTAREA>", b"<svg", b"<svg>",
+    b"</svg>", b"<iframe/>", b"<template>", b"</template>",
+    b"<a href=x>", b"<a/>", b"</a>", b"<b>", b"</b>", b"<span>", b"<img src=x>",
+    b"<br>", b"<br/>", b"</br>", b"<hr>", b"<hr/>", b"<title>", b"</title>", b"<TITLE>",
+    b" ", b"\n", b"\t", b"\x0b", b"\x1c", b"\xa0", b"&nbsp;", b"&amp;", b"&#32;",
+    b"\xc3\xa9", b"\xff", b"x", b"word", b"some longer words here", b'"', b"'", b"=",
+]
+
+_html_docs = st.lists(
+    st.sampled_from(_TOKENS) | st.binary(max_size=3), max_size=40
+).map(b"".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_html_docs)
+def test_extract_blocks_matches_oracle_on_adversarial_tokens(html):
+    _assert_same_as_oracle(html)
+
+
+_FIXED_CASES = {
+    "lone_lt": b"<body><p>before the stop here</p><p>cut short right here < off text",
+    "lone_lt_at_end": b"<p>text that ends in a bracket <",
+    "unterminated_comment": b"<p>kept paragraph text</p><!-- <p>hidden for ever</p>",
+    "comment_open_close": b"<p>first paragraph here</p><!--><p>in the comment</p>-->"
+                          b"<p>after the comment text</p>",
+    "script_mixed_case": b"<p>visible text before</p><SCRIPT>var a = '<p>no</p>';"
+                         b"</Script><p>visible text after</p>",
+    "script_self_closing": b"<div><script/>transparent script tag text</div>",
+    "script_prefix_name": b"<div><scriptx>this is not raw text</scriptx></div>",
+    "nbsp_only": b"<p>&nbsp;</p><p>&nbsp; &nbsp;</p><p>real text in a block</p>",
+    "file_separator": b"<p>\x1c</p><div>\x1c words after a separator</div>",
+    "self_closing_blocklisted": b"<div>text before the tag<div class=sidebar/>"
+                                b"text after the tag</div>",
+    "misnested_in_nav": b"<body><nav><ul><li>menu entry</div></p></ul>nav text"
+                        b"</nav><p>main text after nav</p></body>",
+    "hr_br_in_dropped": b"<div><p>kept text one here<nav>drop<hr>ped<br>x</nav>"
+                        b"still the same block</p></div>",
+    "stray_anchor_close": b"<p></a>text after a stray anchor close</p>",
+    "dropped_inside_dropped": b"<nav><div class=ad>inner ad text</div>text still inside"
+                              b" the nav</nav><footer><nav>x</nav>footer text"
+                              b"</footer><p>main paragraph text</p>",
+    "second_title": b"<html><head><title>first title</title></head><body>"
+                    b"<title>second title in the body text</title>"
+                    b"<p>paragraph content here</p></body></html>",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FIXED_CASES))
+def test_extract_blocks_matches_oracle_fixed_cases(name):
+    _assert_same_as_oracle(_FIXED_CASES[name])
+
+
+def test_extract_blocks_fixed_case_outputs():
+    def texts(html):
+        return [b["text"] for b in extract_blocks(html)[0]]
+
+    assert texts(_FIXED_CASES["lone_lt"]) == ["before the stop here",
+                                             "cut short right here"]
+    assert texts(_FIXED_CASES["script_mixed_case"]) == [
+        "visible text before", "visible text after"]
+    assert texts(_FIXED_CASES["script_self_closing"]) == [
+        "transparent script tag text"]
+    assert texts(_FIXED_CASES["script_prefix_name"]) == [
+        "this is not raw text"]
+    assert texts(_FIXED_CASES["self_closing_blocklisted"]) == [
+        "text before the tag", "text after the tag"]
+    assert texts(_FIXED_CASES["comment_open_close"]) == [
+        "first paragraph here", "after the comment text"]
+    assert texts(_FIXED_CASES["dropped_inside_dropped"]) == [
+        "main paragraph text"]
+    blocks, title = extract_blocks(_FIXED_CASES["second_title"])
+    assert title == "first title"
+    assert [b["text"] for b in blocks] == [
+        "second title in the body text", "paragraph content here"]
+
+
+def test_extract_blocks_matches_oracle_on_synth_pages():
+    from document_text_extraction_ray.sources.synth import synth_page
+
+    for i in range(200):
+        _assert_same_as_oracle(synth_page(i, seed=7)["html"])

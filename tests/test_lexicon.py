@@ -611,3 +611,28 @@ def test_posting_compression_varint_boundaries(ray_session):
     assert df.loc["edge", "df"] == 4
     assert df.loc["edge", "raw_bytes"] == 32
     assert df.loc["solo", "packed_bytes"] == 1
+
+
+def test_sql_bpe_apply_replays_apply_merges_exactly():
+    """The BPE oracle's SQL merge step against _apply_merges, in DuckDB only:
+    runs of identical symbols (odd and even, up to 9 long), a merge whose
+    halves differ, and a merge whose result feeds the next one."""
+    import duckdb
+
+    from document_text_extraction_ray.pipelines.queries import _sql_bpe_apply
+    from document_text_extraction_ray.stages.lexicon import END_WORD
+
+    words = ["b", "bb", "bbb", "bbbbb", "bbbbbb", "bbbbbbbbb", "abababa",
+             "aab", "abbb", "baaaab", "xyz", "bbxbbb"]
+    merges = [("b", "b"), ("a", "b"), ("bb", "bb"), ("ab", "ab"),
+              ("b", END_WORD), ("a", "a")]
+    con = duckdb.connect()
+    for k in range(1, len(merges) + 1):
+        expr = "s"
+        for a, b in merges[:k]:
+            expr = _sql_bpe_apply(expr, f"'{a}'", f"'{b}'")
+        for w in words:
+            s0 = "|".join(list(w) + [END_WORD])
+            (got,) = con.execute(
+                f"SELECT {expr} FROM (SELECT ? AS s) t", [s0]).fetchone()
+            assert got.split("|") == _apply_merges(w, merges[:k]), (w, k)

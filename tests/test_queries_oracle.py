@@ -137,3 +137,37 @@ def test_read_pq_sizes_small_files_and_passes_directories_through(
     Q._read_pq(str(tmp_path), columns=["x"])
     assert calls == [(f, {"columns": ["x"], "override_num_blocks": 4}),
                      (str(tmp_path), {"columns": ["x"]})]
+
+
+def test_oracle_sql_has_no_wide_integer_or_decimal_columns(con):
+    """DuckDB widens SUM over BIGINT to HUGEINT (and some sums to DECIMAL);
+    pandas reads those as float64 while the query returns int64, so a value
+    hash cannot match.  Every oracle casts such columns to the query's dtype."""
+    from document_text_extraction_ray.pipelines.queries import ORACLE_SQL
+
+    wide = []
+    for name, sql in ORACLE_SQL.items():
+        for col, dtype, *_ in con.execute(f"DESCRIBE {sql}").fetchall():
+            if dtype.split("(")[0] in ("HUGEINT", "UHUGEINT", "DECIMAL"):
+                wide.append((name, col, dtype))
+    assert wide == []
+
+
+def test_comparator_fails_on_int_float_kind_and_ulp_differences():
+    import importlib.util
+    import os
+
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                        "tools", "check_correctness.py")
+    spec = importlib.util.spec_from_file_location("check_correctness", path)
+    cc = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cc)
+
+    ints = pd.DataFrame({"k": [1, 2], "v": [3, 4]})
+    assert cc.compare("q", ints, ints.copy()) == []
+    problems = cc.compare("q", ints, ints.astype({"v": "float64"}))
+    assert problems and "dtype kind" in problems[0]
+    floats = pd.DataFrame({"k": [1, 2], "v": [0.1 + 0.2, 1.0]})
+    off = pd.DataFrame({"k": [1, 2], "v": [0.3, 1.0]})
+    problems = cc.compare("q", floats, off)
+    assert problems and "ULP" in problems[0]

@@ -1,6 +1,7 @@
 """Local replica of the driver's correctness gate: run every queries() entry
 and compare against its oracle_sql() via DuckDB (row count + column names +
-order-insensitive value comparison).
+int/float dtype kind + order-insensitive value comparison).  Float columns
+must match bit for bit, as a comparison of value hashes requires.
 
 Usage: python tools/check_correctness.py [--sf /root/testdata/sf0.01] [names...]
 """
@@ -55,14 +56,18 @@ def compare(name: str, ray_df: pd.DataFrame, sql_df: pd.DataFrame) -> list:
     a, b = normalize(ray_df), normalize(sql_df)
     for c in a.columns:
         av, bv = a[c], b[c]
-        if av.dtype.kind == "f" or bv.dtype.kind == "f":
+        kinds = av.dtype.kind + bv.dtype.kind
+        if "f" in kinds and ("i" in kinds or "u" in kinds):
+            # A value hash tells an int from a float even when they are equal.
+            problems.append(f"column {c}: dtype kind differs: ray={av.dtype} sql={bv.dtype}")
+        elif "f" in kinds:
             ok = np.allclose(av.astype(float), bv.astype(float), rtol=0, atol=1e-9,
                              equal_nan=True)
             exact = (av.astype(float).values == bv.astype(float).values).all()
             if not ok:
                 problems.append(f"column {c}: float values differ beyond 1e-9")
             elif not exact:
-                problems.append(f"column {c}: WARNING float ULP differences (hash would fail)")
+                problems.append(f"column {c}: float ULP differences (hash would fail)")
         else:
             neq = (av.astype(str).values != bv.astype(str).values)
             if neq.any():
