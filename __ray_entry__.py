@@ -34,7 +34,7 @@ def entry() -> Any:
     from document_text_extraction_ray.sources.corpus import corpus_from_documents
 
     corpus = corpus_from_documents(SF_SMOKE)
-    out = extract_dataset(corpus, with_fields=True, concurrency=4)
+    out = extract_dataset(corpus, with_fields=True)
     return out.select_columns(
         ["url", "warc_ts", "lang", "bucket", "extracted_text",
          "n_blocks", "n_chars", "status"]

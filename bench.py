@@ -4,8 +4,9 @@ Default: runs the headline extraction pipeline + every queries() entry over
 $GRAFT_SF_DIR (default /root/testdata/sf0.1) under
 ray.init(num_cpus=$RAY_GRAFT_CPUS, default 32) and prints ONE JSON line:
   {"metric": ..., "value": <headline sec>, "unit": "sec",
-   "queries": {name: sec}, "sf": ..., "num_cpus": N,
+   "queries": {n, total_sec, full_in, slowest}, "sf": ..., "num_cpus": N,
    "headline": {docs, html_mb, docs_per_s, mb_per_s}}
+and writes every query's seconds to QUERIES_BENCH.json.
 
 --scaling: runs the headline pipeline in fresh subprocesses at num_cpus=8 and
 num_cpus=32 on the SAME input (page cache warmed by the first generation) and
@@ -67,10 +68,6 @@ def run_headline() -> dict:
         OUT_DIR,
         run_id=f"bench-{NUM_CPUS}",
         files_per_partition=int(os.environ.get("BENCH_FILES_PER_PART", "100")),
-        n_buckets=64,
-        max_concurrent_partitions=int(os.environ.get("BENCH_PART_CONC", "2")),
-        # 0 = no block-count override: keeps read->extract->write fused.
-        blocks_per_cpu=int(os.environ.get("BENCH_BLOCKS_PER_CPU", "0")) or None,
     )
     elapsed = time.perf_counter() - t0
     return {
@@ -98,7 +95,7 @@ def run_queries() -> dict:
             result.to_pandas()  # consume the lazy pipeline
         elif isinstance(result, pa.Table):
             pass
-        out[name] = round(time.perf_counter() - t0, 3)
+        out[name] = round(time.perf_counter() - t0, 1)
     return out
 
 
@@ -127,15 +124,20 @@ def main_bench():
     headline["samples_sec"] = [h1["sec"], h2["sec"]]
     queries = run_queries()
     ray.shutdown()
-    # KEY ORDER AND SIZE MATTER: the round driver captures only the LAST
-    # ~2000 characters of stdout and json-parses the final line (r2's line
-    # overflowed at 72 queries -> "parsed": null).  So (a) the line is
-    # compact (no-space separators, 2-decimal query secs, summarized
-    # scaling), and (b) the big queries dict comes FIRST so that even if a
-    # future registry overflows again, the tail window still ends with the
-    # human-readable headline/scaling summary.
+    # Readers of this output keep only the LAST ~2000 characters of stdout
+    # and json-parse the final line, so the line is compact and the registry
+    # sweep is summarized (count/total + the slowest entries); the full
+    # per-query dict goes to QUERIES_BENCH.json next to the repo.
+    with open(os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           "QUERIES_BENCH.json"), "w") as f:
+        json.dump({"sf": SF_DIR, "num_cpus": NUM_CPUS, "queries": queries},
+                  f, indent=1, sort_keys=True)
+    slowest = dict(sorted(queries.items(), key=lambda kv: -kv[1])[:10])
     out = {
-        "queries": {k: round(v, 2) for k, v in queries.items()},
+        "queries": {"n": len(queries),
+                    "total_sec": round(sum(queries.values()), 1),
+                    "full_in": "QUERIES_BENCH.json",
+                    "slowest": slowest},
         "sf": SF_DIR,
         "num_cpus": NUM_CPUS,
         "headline": headline,
@@ -161,26 +163,7 @@ def main_bench():
             # commit — doc/test commits don't invalidate a measurement.
             "stale": s.get("measured_pkg_tree", "unknown") != _pkg_tree(),
         }
-    line = json.dumps(out, separators=(",", ":"))
-    if len(line) > 1900:  # keep inside the driver's tail-capture window
-        out["queries"] = {k: round(v, 1) for k, v in out["queries"].items()}
-        line = json.dumps(out, separators=(",", ":"))
-    if len(line) > 1900:
-        # Registry outgrew the window even at 1 decimal: summarize the
-        # sweep (count/total + the slowest entries) and persist the full
-        # per-query dict to QUERIES_BENCH.json next to the repo instead.
-        full = out["queries"]
-        with open(os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                               "QUERIES_BENCH.json"), "w") as f:
-            json.dump({"sf": SF_DIR, "num_cpus": NUM_CPUS,
-                       "queries": full}, f, indent=1, sort_keys=True)
-        slowest = dict(sorted(full.items(), key=lambda kv: -kv[1])[:10])
-        out["queries"] = {"n": len(full),
-                          "total_sec": round(sum(full.values()), 1),
-                          "full_in": "QUERIES_BENCH.json",
-                          "slowest": slowest}
-        line = json.dumps(out, separators=(",", ":"))
-    print(line)
+    print(json.dumps(out, separators=(",", ":")))
 
 
 def run_at(ncpu: int, repeats: int | None = None) -> dict:

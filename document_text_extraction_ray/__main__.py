@@ -79,12 +79,11 @@ def cmd_summary(args):
     from .state import checkpoint as ckpt
 
     manifests = ckpt.read_manifests(args.out)
-    parts = sorted(ckpt.committed_parts(args.out))
     rows = sum(m.get("row_count", 0) for m in manifests)
     ok = sum(m.get("ok_count", 0) for m in manifests)
     print(json.dumps({
-        "buckets_committed": len(manifests),
-        "parts_committed": len(parts),
+        "buckets_committed": len(ckpt.committed_keys(args.out, "bucket")),
+        "parts_committed": len(ckpt.committed_keys(args.out, "part")),
         "rows": rows, "ok": ok, "errors": rows - ok,
     }))
 

@@ -4,7 +4,7 @@ SURVEY.md §4.2 — run the cheap path on every row it fits, reserve the
 expensive layout branch for the rows that need it.
 
     mixed corpus (content_type column)
-      ├─ text/html             -> HtmlExtractor   (cheap vectorized path)
+      ├─ text/html             -> extract_batch (cheap vectorized path)
       ├─ application/x-fakepdf -> LayoutExtractor (actor pool, parsers warm)
       ├─ application/pdf       -> RealPdfExtractor (PyMuPDF if importable,
       │                           pure-Python minipdf fallback otherwise;

@@ -16,36 +16,27 @@ Two resumable jobs, two partitioning strategies:
     bucket joins / dedup); resume filters rows by committed bucket.
 
 No stage materializes the dataset; the streaming executor pipelines read,
-extraction and write with backpressure — at the default batch_size=None the
-whole chain FUSES into one read->extract->write operator per block (see
-EXTRACT_BATCH_SIZE note).  Giant-HTML-payload corpora are defused at the
-READ with ``target_block_mb`` (and, for actor stages, a small explicit
-``batch_size``) so one giant row cannot blow a worker heap
-(SURVEY.md §7.5 item 2).
+extraction and write with backpressure, and the whole chain FUSES into one
+read->extract->write operator per block.  Giant-HTML-payload corpora are
+defused at the READ with ``target_block_mb`` so one giant row cannot blow a
+worker heap (SURVEY.md §7.5 item 2).
 """
 
 from __future__ import annotations
 
+import functools
 import os
 
 import ray.data
 
 from ..functions.html_extract import DEFAULT_CONFIG, ExtractConfig
-from ..stages.extract import EXTRACTOR_VERSION, HtmlExtractor
+from ..stages.extract import EXTRACTOR_VERSION, extract_batch
 from ..state import checkpoint as ckpt
 
-# Payload stage sizing.  The stateless task path runs at batch_size=None
-# (= whole blocks): ANY explicit batch_size inserts a re-batching boundary
-# that BLOCKS Ray's read->map->write operator fusion — measured 18.0 s
-# unfused vs 16.2 s fused for the 400k-page headline at 16 CPUs, with the
-# fused plan a single `ReadParquet->MapBatches(extract_batch)->Write`
-# operator (no separate read ramp).  Block size is already bounded by
-# DataContext.target_max_block_size, and the giant-payload-row defusal
-# lever is `target_block_mb` (read-level splitting), which composes with
-# fusion.  The actor-pool path keeps an explicit batch size (256 measured
-# 13% faster than 64 at 32 CPUs; ~0.4 MB/batch at ~1.5 KB/doc) — actor
-# stages never fuse with the read anyway.
-EXTRACT_BATCH_SIZE = 256
+# Partition pipelines the sharded job overlaps (each its own Dataset
+# execution driven from a thread), so the cluster never idles during one
+# partition's commit tail.
+MAX_CONCURRENT_PARTITIONS = 2
 
 
 def extract_dataset(
@@ -54,36 +45,13 @@ def extract_dataset(
     config: ExtractConfig = DEFAULT_CONFIG,
     n_buckets: int = 64,
     with_fields: bool = True,
-    concurrency=None,
-    batch_size: int | None = None,
-    use_actors: bool = False,
 ) -> ray.data.Dataset:
-    """Attach the extraction stage.
-
-    Default: stateless task pool (the kernel has no load-once state; tasks
-    skip actor spin-up and scale elastically).  ``use_actors=True`` switches
-    to the warm actor-pool form — the right shape once the core loads real
-    state (layout models, ML stages)."""
-    import functools
-
-    from ..stages.extract import extract_batch
-    from ..util import pool_size
-
-    if use_actors:
-        return corpus.map_batches(
-            HtmlExtractor,
-            batch_format="pyarrow",
-            batch_size=batch_size or EXTRACT_BATCH_SIZE,
-            concurrency=pool_size(concurrency),
-            fn_constructor_kwargs=dict(
-                config=config, n_buckets=n_buckets, with_fields=with_fields
-            ),
-        )
+    """Attach the extraction stage (``extract_batch`` as stateless tasks)."""
+    # No batch_size: an explicit one stops Ray fusing this map with the read.
     return corpus.map_batches(
         functools.partial(extract_batch, config=config, n_buckets=n_buckets,
                           with_fields=with_fields),
         batch_format="pyarrow",
-        batch_size=batch_size,
     )
 
 
@@ -95,16 +63,13 @@ def run_extraction_job(
     input_path: str = "",
     n_buckets: int = 64,
     with_fields: bool = True,
-    concurrency=None,
 ) -> dict:
     """End-to-end resumable job: extract -> skip committed buckets -> commit.
 
     Returns the commit summary; rerunning after a crash (or a no-op rerun)
     skips every committed bucket and converges to the same final table.
     """
-    extracted = extract_dataset(
-        corpus, n_buckets=n_buckets, with_fields=with_fields, concurrency=concurrency
-    )
+    extracted = extract_dataset(corpus, n_buckets=n_buckets, with_fields=with_fields)
     resumed = extracted.map_batches(
         ckpt.make_resume_filter(out_dir), batch_format="pyarrow"
     )
@@ -122,9 +87,6 @@ def run_sharded_extraction_job(
     files_per_partition: int = 8,
     n_buckets: int = 64,
     with_fields: bool = True,
-    concurrency=None,
-    max_concurrent_partitions: int = 2,
-    blocks_per_cpu: int | None = None,
     skip_failed_partitions: bool = False,
     target_block_mb: int | None = None,
 ) -> dict:
@@ -137,10 +99,6 @@ def run_sharded_extraction_job(
     partitions BEFORE the read — skipped input files are never opened (cheaper
     than any row filter).  Use ``write_bucketed`` instead when downstream
     needs hash-partitioned layout (e.g. bucket-join dedup).
-
-    ``max_concurrent_partitions`` overlaps partition pipelines (each is its
-    own Dataset execution driven from a thread) so the cluster never idles
-    during a partition's commit tail.
 
     ``skip_failed_partitions``: a partition whose READ fails (corrupt file,
     truncated footer — row-level poison is already handled in-band by the
@@ -163,7 +121,6 @@ def run_sharded_extraction_job(
     ``target_block_mb=None``.
     """
     import glob as _glob
-    import shutil
     import time as _time
     from concurrent.futures import ThreadPoolExecutor
 
@@ -178,37 +135,21 @@ def run_sharded_extraction_job(
         files[i: i + files_per_partition]
         for i in range(0, len(files), files_per_partition)
     ]
-    staging_root = os.path.join(out_dir, ckpt.STAGING_DIR)
-    os.makedirs(os.path.join(out_dir, ckpt.MANIFEST_DIR), exist_ok=True)
-    if os.path.isdir(staging_root):
-        for stale in os.listdir(staging_root):
-            shutil.rmtree(os.path.join(staging_root, stale), ignore_errors=True)
+    ckpt.sweep_staging(out_dir)
 
-    done = ckpt.committed_parts(out_dir)
+    done = ckpt.committed_keys(out_dir, "part")
     summary = {"committed": 0, "skipped": 0, "rows": 0, "partitions": len(partitions)}
-
-    import ray as _ray
-
-    cpus = int(_ray.cluster_resources().get("CPU", 8)) if _ray.is_initialized() else 8
 
     def process(pid_chunk):
         pid, chunk = pid_chunk
-        staged = os.path.join(staging_root, run_id, f"part={pid}")
+        staged = os.path.join(out_dir, ckpt.STAGING_DIR, run_id, f"part={pid}")
         os.makedirs(staged, exist_ok=True)
-        # Block-count: the default (no override) lets Ray's split heuristic
-        # decide — 1 block per file on cpu-saturating partitions, which
-        # keeps the whole chain FUSED into one read->extract->write
-        # operator (an explicit override inserts SplitBlocks and unfuses;
-        # measured slower at both 16 and 32 cpus).  Pass ``blocks_per_cpu``
-        # only to force finer tasks on heavy-skew corpora (the 1% giant-
-        # page tail pinning coarse tasks); ``target_block_mb`` is the
-        # byte-level lever for the same problem.
-        read_kw = {}
-        if blocks_per_cpu:
-            read_kw["override_num_blocks"] = max(len(chunk), blocks_per_cpu * cpus)
+        # No block-count override: Ray's split heuristic keeps the chain
+        # FUSED into one read->extract->write operator (an override inserts
+        # SplitBlocks and unfuses; measured slower at 16 and 32 cpus).
         ds = extract_dataset(
-            ray.data.read_parquet(chunk, **read_kw),
-            n_buckets=n_buckets, with_fields=with_fields, concurrency=concurrency,
+            ray.data.read_parquet(chunk),
+            n_buckets=n_buckets, with_fields=with_fields,
         )
         ds.write_parquet(staged)
         stats = ckpt.part_stats(staged)
@@ -243,7 +184,7 @@ def run_sharded_extraction_job(
         if target_block_mb is not None:
             _ctx.target_max_block_size = target_block_mb * 1024 * 1024
         if todo:
-            with ThreadPoolExecutor(max_workers=max_concurrent_partitions) as ex:
+            with ThreadPoolExecutor(max_workers=MAX_CONCURRENT_PARTITIONS) as ex:
                 for pid, rows, err in ex.map(guarded, todo):
                     if err is not None:
                         summary["failed"].append({"part": pid, "error": err})
@@ -252,7 +193,7 @@ def run_sharded_extraction_job(
                         summary["rows"] += rows
     finally:
         _ctx.target_max_block_size = _prev_block
-    shutil.rmtree(os.path.join(staging_root, run_id), ignore_errors=True)
+    ckpt.sweep_staging(out_dir)
     return summary
 
 

@@ -25,7 +25,7 @@ from ray.data.aggregate import Count, Max, Mean, Min, Sum
 from ..sources.corpus import corpus_from_documents
 from ..stages import similarity as SIM
 from ..stages.dedup import exact_dedup_ids, minhash_dedup, simhash_pairs
-from ..stages.extract import FieldExtractor
+from ..stages.extract import extract_fields_batch
 from ..stages.textstats import text_stats
 from .extract_pipeline import extract_dataset
 
@@ -93,7 +93,7 @@ def q_extract_main_text(sf_dir: str):
     """Flagship on the wrapped documents corpus: extracted text per url ==
     whitespace-normalized document text (SQL-checkable byte identity)."""
     corpus = corpus_from_documents(sf_dir)
-    out = extract_dataset(corpus, with_fields=False, concurrency=4)
+    out = extract_dataset(corpus, with_fields=False)
     return out.select_columns(["url", "extracted_text"])
 
 
@@ -101,14 +101,14 @@ def q_extract_titles(sf_dir: str):
     """Title capture through the full pipeline (SQL-checkable on the wrapped
     corpus: the template sets <title>Doc {id}</title>)."""
     corpus = corpus_from_documents(sf_dir)
-    out = extract_dataset(corpus, with_fields=False, concurrency=4)
+    out = extract_dataset(corpus, with_fields=False)
     return out.select_columns(["url", "title"])
 
 
 def q_extract_stats(sf_dir: str):
     """Per-lang doc counts + extracted char totals (G3/G4 analogue)."""
     corpus = corpus_from_documents(sf_dir)
-    out = extract_dataset(corpus, with_fields=False, concurrency=4)
+    out = extract_dataset(corpus, with_fields=False)
     agg = out.groupby("lang").aggregate(
         Count(alias_name="n_docs"),
         Sum("n_chars", alias_name="total_chars"),
@@ -119,13 +119,10 @@ def q_extract_stats(sf_dir: str):
 
 def q_field_email_counts(sf_dir: str):
     """M1 vectorized over document text; counts are SQL-checkable."""
-    from ..util import pool_size
-
     ds = _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        FieldExtractor,
+        extract_fields_batch,
         batch_format="pyarrow",
-        concurrency=pool_size(2),
-        fn_constructor_kwargs=dict(text_column="text"),
+        fn_kwargs=dict(text_column="text"),
     )
 
     def project(t: pa.Table) -> pa.Table:
@@ -1312,7 +1309,7 @@ def q_synth_extract(sf_dir: str):
 
     n = _docs(sf_dir, ["doc_id"]).count()
     corpus = synth_corpus_dataset(min(n, 2000), seed=42)
-    out = extract_dataset(corpus, with_fields=True, concurrency=4)
+    out = extract_dataset(corpus, with_fields=True)
     return out.select_columns(["url", "n_blocks", "n_chars", "status"])
 
 

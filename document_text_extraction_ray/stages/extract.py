@@ -37,101 +37,78 @@ def url_bucket_array(urls, n_buckets: int) -> pa.Array:
     )
 
 
-class HtmlExtractor:
-    """Actor-pool stage: warm parser config, per-batch extraction.
-
-    Use as ``ds.map_batches(HtmlExtractor, fn_constructor_kwargs=...,
-    batch_format="pyarrow", batch_size=..., concurrency=N)`` — construction
-    happens once per actor (the reference's parser-object-reuse pattern,
-    grid_detector_v4.py:338-345), __call__ once per batch.
-    """
-
-    def __init__(self, config: ExtractConfig = DEFAULT_CONFIG,
-                 n_buckets: int = 64, with_fields: bool = True):
-        self.config = config
-        self.n_buckets = n_buckets
-        self.with_fields = with_fields
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        urls = batch.column("url").to_pylist()
-        htmls = batch.column("html").to_pylist()
-        langs = (
-            batch.column("lang").to_pylist()
-            if "lang" in batch.column_names else [""] * len(urls)
-        )
-
-        texts, spans_col, titles, n_blocks, n_chars = [], [], [], [], []
-        statuses, errors, fields_col = [], [], []
-        for html_bytes in htmls:
-            try:
-                page = extract_page(html_bytes, self.config)
-                text = page["text"]
-                texts.append(text)
-                spans_col.append(
-                    [{"start": s, "end": e, "kind": k} for s, e, k in page["spans"]]
-                )
-                titles.append(page["title"])
-                n_blocks.append(page["n_blocks"])
-                n_chars.append(len(text))
-                statuses.append("ok")
-                errors.append("")
-                if self.with_fields:
-                    fields_col.append(F.extract_all_fields(text))
-            except Exception as exc:  # in-band error row, batch keeps going
-                texts.append("")
-                spans_col.append([])
-                titles.append("")
-                n_blocks.append(0)
-                n_chars.append(0)
-                statuses.append("error")
-                errors.append(f"{type(exc).__name__}: {exc}")
-                if self.with_fields:
-                    fields_col.append(_ERROR_ROW_FIELDS)
-
-        arrays = [
-            batch.column("url"),
-            batch.column("warc_ts"),
-            pa.array(langs, type=pa.string()),
-            url_bucket_array(urls, self.n_buckets),
-            pa.array(texts, type=pa.large_string()),
-            pa.array(spans_col, type=pa.large_list(S.SPAN_TYPE)),
-            pa.array(titles, type=pa.string()),
-            pa.array(n_blocks, type=pa.int32()),
-            pa.array(n_chars, type=pa.int64()),
-            pa.array([len(h) if h is not None else 0 for h in htmls], type=pa.int64()),
-            pa.array(statuses, type=pa.string()),
-            pa.array(errors, type=pa.string()),
-        ]
-        out_schema = S.EXTRACTED_SCHEMA
-        if self.with_fields:
-            arrays.append(pa.array(fields_col, type=S.FIELDS_TYPE))
-            out_schema = S.FIELDS_SCHEMA
-        return pa.Table.from_arrays(arrays, schema=out_schema)
-
-
 def extract_batch(batch: pa.Table, config: ExtractConfig = DEFAULT_CONFIG,
                   n_buckets: int = 64, with_fields: bool = True) -> pa.Table:
-    """Stateless-task form of the extraction stage.
+    """The extraction stage: one stateless task per Arrow batch.
 
-    The kernel holds no real state (regexes are module-level constants,
-    already warm in reused Ray workers), so a task pool schedules more
-    elastically and skips actor-pool spin-up (~6s per pipeline execution
-    measured at 32 CPUs).  Use the HtmlExtractor actor-pool form only for
-    cores that genuinely load state (models, big vocabularies)."""
-    return HtmlExtractor(config, n_buckets, with_fields)(batch)
+    The kernel holds no state (regexes are module-level constants, already
+    warm in reused Ray workers), so a task pool schedules elastically and
+    skips actor-pool spin-up (~6s per pipeline execution measured at 32
+    CPUs).  ``extract_page`` and ``F.extract_all_fields`` are looked up at
+    call time, so a caller can swap either kernel for the whole batch."""
+    urls = batch.column("url").to_pylist()
+    htmls = batch.column("html").to_pylist()
+    langs = (
+        batch.column("lang").to_pylist()
+        if "lang" in batch.column_names else [""] * len(urls)
+    )
+
+    texts, spans_col, titles, n_blocks, n_chars = [], [], [], [], []
+    statuses, errors, fields_col = [], [], []
+    for html_bytes in htmls:
+        try:
+            page = extract_page(html_bytes, config)
+            text = page["text"]
+            texts.append(text)
+            spans_col.append(
+                [{"start": s, "end": e, "kind": k} for s, e, k in page["spans"]]
+            )
+            titles.append(page["title"])
+            n_blocks.append(page["n_blocks"])
+            n_chars.append(len(text))
+            statuses.append("ok")
+            errors.append("")
+            if with_fields:
+                fields_col.append(F.extract_all_fields(text))
+        except Exception as exc:  # in-band error row, batch keeps going
+            texts.append("")
+            spans_col.append([])
+            titles.append("")
+            n_blocks.append(0)
+            n_chars.append(0)
+            statuses.append("error")
+            errors.append(f"{type(exc).__name__}: {exc}")
+            if with_fields:
+                fields_col.append(_ERROR_ROW_FIELDS)
+
+    arrays = [
+        batch.column("url"),
+        batch.column("warc_ts"),
+        pa.array(langs, type=pa.string()),
+        url_bucket_array(urls, n_buckets),
+        pa.array(texts, type=pa.large_string()),
+        pa.array(spans_col, type=pa.large_list(S.SPAN_TYPE)),
+        pa.array(titles, type=pa.string()),
+        pa.array(n_blocks, type=pa.int32()),
+        pa.array(n_chars, type=pa.int64()),
+        pa.array([len(h) if h is not None else 0 for h in htmls], type=pa.int64()),
+        pa.array(statuses, type=pa.string()),
+        pa.array(errors, type=pa.string()),
+    ]
+    out_schema = S.EXTRACTED_SCHEMA
+    if with_fields:
+        arrays.append(pa.array(fields_col, type=S.FIELDS_TYPE))
+        out_schema = S.FIELDS_SCHEMA
+    return pa.Table.from_arrays(arrays, schema=out_schema)
 
 
-class FieldExtractor:
+def extract_fields_batch(batch: pa.Table,
+                         text_column: str = "extracted_text") -> pa.Table:
     """Standalone field-extraction stage over an ``extracted_text`` (or
     ``text``) column — M1-M13 vectorized per batch (SURVEY.md §2.2)."""
-
-    def __init__(self, text_column: str = "extracted_text"):
-        self.text_column = text_column
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = batch.column(self.text_column).to_pylist()
-        fields_col = [F.extract_all_fields(t or "") for t in texts]
-        return batch.append_column(
-            pa.field("fields", S.FIELDS_TYPE),
-            pa.array(fields_col, type=S.FIELDS_TYPE),
-        )
+    texts = batch.column(text_column).to_pylist()
+    fields_col = [F.extract_all_fields(t or "") for t in texts]
+    return batch.append_column(
+        pa.field("fields", S.FIELDS_TYPE),
+        pa.array(fields_col, type=S.FIELDS_TYPE),
+    )

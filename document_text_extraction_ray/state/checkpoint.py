@@ -1,26 +1,29 @@
-"""Checkpointed, resumable Parquet output with per-partition lineage.
+"""Checkpointed, resumable Parquet output with per-unit lineage.
 
-North-rule requirement (BASELINE.md "Resume gate"): one output partition per
-url-hash bucket, each committed atomically with a lineage manifest (input
-path, row counts, extractor version, commit time).  A killed-and-restarted
-job skips committed buckets and produces the same final table.
+North-rule requirement (BASELINE.md "Resume gate"): each commit unit is
+committed atomically with a lineage manifest (input, row counts, extractor
+version, commit time).  A killed-and-restarted job skips committed units and
+produces the same final table.  Both sinks run one protocol; only the unit
+differs: ``bucket=K`` (one url-hash bucket, ``write_bucketed``) or
+``part=K`` (one partition of input files, the sharded job's ``commit_part``).
 
-Design (SURVEY.md §7.5 item 3 — sinks are at-least-once under retries):
-  1. the run shuffles ONCE on the bucket key (``groupby("bucket")``) and each
-     bucket-group task writes its own Parquet file(s) under a run-scoped
-     staging prefix (``out/_staging/<run_id>/bucket=K/...``) AND computes its
-     lineage stats in-task; task retries rewrite the same paths (idempotent);
-     staging must be storage visible to the commit step (shared FS or object
-     store on a real cluster);
-  2. after the sink completes, each staged bucket dir is committed by a
-     driver-side atomic rename into ``out/bucket=K`` plus an atomically
-     renamed manifest JSON.  **The manifest directory is the source of
-     truth**, never a directory listing: files from a crashed run sit in
-     staging and are ignored (and swept by the next run).
-  3. resume = read manifests -> committed bucket set -> vectorized
-     ``pc.is_in`` anti-filter inside map_batches (bucket pruning, no shuffle).
+Protocol (SURVEY.md §7.5 item 3 — sinks are at-least-once under retries):
+  1. ``sweep_staging`` removes all of ``out/_staging`` (single-writer
+     protocol: one job writes a given out_dir at a time);
+  2. each unit is written under ``out/_staging/<run_id>/<unit>/``; task
+     retries rewrite the same paths (idempotent); staging must be storage
+     visible to the commit step (shared FS or object store on a cluster);
+  3. ``_commit`` renames the staged dir to ``out/<unit>``, then atomically
+     renames in ``out/_manifests/<unit>.json``.  **The manifest directory is
+     the source of truth**, never a directory listing: files of a crashed
+     run sit in staging or in an unlisted unit dir and are ignored;
+  4. resume = ``committed_keys`` -> skip committed units (input files before
+     the read, or a ``pc.is_in`` anti-filter on the bucket column).
 
-On an object store (S3-style, no atomic rename) step 2 becomes
+A bucket manifest lists out_dir-relative paths, a part manifest basenames
+under ``part=K/``; ``committed_files`` is the one reader that knows this.
+
+On an object store (S3-style, no atomic rename) step 3 becomes
 "manifest lists the staged file keys" — the manifest-as-truth protocol is
 unchanged; only the rename is replaced.
 """
@@ -39,20 +42,41 @@ MANIFEST_DIR = "_manifests"
 STAGING_DIR = "_staging"
 
 
-def _manifest_path(out_dir: str, bucket: int) -> str:
-    return os.path.join(out_dir, MANIFEST_DIR, f"bucket={bucket}.json")
-
-
-def committed_buckets(out_dir: str) -> set:
-    """Buckets with a committed manifest (the only definition of 'done')."""
+def committed_keys(out_dir: str, kind: str) -> set:
+    """Ids of the committed ``kind`` units ("bucket" or "part"): those with
+    a manifest, the only definition of 'done'."""
     mdir = os.path.join(out_dir, MANIFEST_DIR)
     if not os.path.isdir(mdir):
         return set()
-    out = set()
-    for name in os.listdir(mdir):
-        if name.startswith("bucket=") and name.endswith(".json"):
-            out.add(int(name[len("bucket="): -len(".json")]))
-    return out
+    prefix = f"{kind}="
+    return {
+        int(n[len(prefix): -len(".json")])
+        for n in os.listdir(mdir)
+        if n.startswith(prefix) and n.endswith(".json")
+    }
+
+
+def sweep_staging(out_dir: str) -> None:
+    """Remove all staging under ``out_dir`` (a crashed run's and this run's
+    id alike: staging is never read before it is rewritten) and make sure
+    the manifest dir exists."""
+    shutil.rmtree(os.path.join(out_dir, STAGING_DIR), ignore_errors=True)
+    os.makedirs(os.path.join(out_dir, MANIFEST_DIR), exist_ok=True)
+
+
+def _commit(out_dir: str, run_id: str, unit: str, staged_dir: str,
+            manifest: dict) -> None:
+    """Atomically promote ``staged_dir`` to ``out_dir/unit`` + write its
+    manifest ``unit.json``."""
+    dst = os.path.join(out_dir, unit)
+    if os.path.exists(dst):  # stale files from a crashed, uncommitted run
+        shutil.rmtree(dst)
+    os.rename(staged_dir, dst)
+    path = os.path.join(out_dir, MANIFEST_DIR, f"{unit}.json")
+    tmp = path + f".tmp.{run_id}"
+    with open(tmp, "w") as fh:
+        json.dump(manifest, fh)
+    os.rename(tmp, path)
 
 
 def make_resume_filter(out_dir: str):
@@ -65,7 +89,8 @@ def make_resume_filter(out_dir: str):
     """
     import pyarrow as pa
 
-    committed = pa.array(sorted(committed_buckets(out_dir)), type=pa.int32())
+    committed = pa.array(sorted(committed_keys(out_dir, "bucket")),
+                         type=pa.int32())
 
     def _filter(batch):
         if len(committed) == 0:
@@ -94,16 +119,8 @@ def write_bucketed(
     """
     import pyarrow as pa
 
-    staging_root = os.path.join(out_dir, STAGING_DIR)
-    staging = os.path.join(staging_root, run_id)
-    os.makedirs(os.path.join(out_dir, MANIFEST_DIR), exist_ok=True)
-    # Sweep staging left by crashed runs (single-writer protocol: only one
-    # job writes a given out_dir at a time — standard for checkpoint sinks).
-    if os.path.isdir(staging_root):
-        for stale in os.listdir(staging_root):
-            if stale != run_id:
-                shutil.rmtree(os.path.join(staging_root, stale), ignore_errors=True)
-    os.makedirs(staging, exist_ok=True)
+    staging = os.path.join(out_dir, STAGING_DIR, run_id)
+    sweep_staging(out_dir)
 
     # One shuffle on the bucket key (the engine's single partitioning key);
     # each bucket-group task writes its own file AND computes its lineage
@@ -161,24 +178,20 @@ def write_bucketed(
         .take_all()
     )
 
-    committed_before = committed_buckets(out_dir)
+    committed_before = committed_keys(out_dir, "bucket")
     summary = {"committed": 0, "skipped": 0, "rows": 0}
     for row in sorted(stats_rows, key=lambda r: r["bucket"]):
         bucket = int(row["bucket"])
-        src = os.path.join(staging, f"bucket={bucket}")
         if bucket in committed_before:
-            shutil.rmtree(src, ignore_errors=True)
             summary["skipped"] += 1
             continue
+        unit = f"bucket={bucket}"
+        src = os.path.join(staging, unit)
         files = sorted(f for f in os.listdir(src) if f.endswith(".parquet"))
-        dst = os.path.join(out_dir, f"bucket={bucket}")
-        if os.path.exists(dst):  # stale files from a crashed, uncommitted run
-            shutil.rmtree(dst)
-        os.rename(src, dst)
-        manifest = {
+        _commit(out_dir, run_id, unit, src, {
             "bucket": bucket,
             "input_path": input_path,
-            "files": [os.path.join(f"bucket={bucket}", f) for f in files],
+            "files": [os.path.join(unit, f) for f in files],
             "row_count": int(row["row_count"]),
             "ok_count": int(row["ok_count"]),
             "error_count": int(row["row_count"]) - int(row["ok_count"]),
@@ -186,51 +199,17 @@ def write_bucketed(
             "extractor_version": extractor_version,
             "run_id": run_id,
             "committed_at_us": int(time.time() * 1e6),
-        }
-        tmp = _manifest_path(out_dir, bucket) + f".tmp.{run_id}"
-        with open(tmp, "w") as fh:
-            json.dump(manifest, fh)
-        os.rename(tmp, _manifest_path(out_dir, bucket))
+        })
         summary["committed"] += 1
         summary["rows"] += int(row["row_count"])
-    shutil.rmtree(os.path.join(out_dir, STAGING_DIR, run_id), ignore_errors=True)
+    sweep_staging(out_dir)
     return summary
-
-
-def committed_files(out_dir: str) -> list:
-    """The exact file list of the committed table (manifest-driven read)."""
-    files = []
-    for bucket in sorted(committed_buckets(out_dir)):
-        with open(_manifest_path(out_dir, bucket)) as fh:
-            m = json.load(fh)
-        files.extend(os.path.join(out_dir, rel) for rel in m["files"])
-    return files
-
-
-def committed_parts(out_dir: str) -> set:
-    """Committed input-shard partitions (sharded no-shuffle sink)."""
-    mdir = os.path.join(out_dir, MANIFEST_DIR)
-    if not os.path.isdir(mdir):
-        return set()
-    return {
-        int(n[len("part="): -len(".json")])
-        for n in os.listdir(mdir)
-        if n.startswith("part=") and n.endswith(".json")
-    }
 
 
 def commit_part(out_dir: str, run_id: str, part_id: int, staged_dir: str,
                 manifest: dict) -> None:
     """Atomically promote a staged partition dir + write its manifest."""
-    dst = os.path.join(out_dir, f"part={part_id}")
-    if os.path.exists(dst):
-        shutil.rmtree(dst)
-    os.rename(staged_dir, dst)
-    path = os.path.join(out_dir, MANIFEST_DIR, f"part={part_id}.json")
-    tmp = path + f".tmp.{run_id}"
-    with open(tmp, "w") as fh:
-        json.dump(manifest, fh)
-    os.rename(tmp, path)
+    _commit(out_dir, run_id, f"part={part_id}", staged_dir, manifest)
 
 
 def part_stats(part_dir: str) -> dict:
@@ -254,15 +233,22 @@ def part_stats(part_dir: str) -> dict:
     }
 
 
-def committed_part_files(out_dir: str) -> list:
+def _manifests(out_dir: str):
+    """(kind, key, manifest) of every committed manifest, buckets first."""
+    for kind in ("bucket", "part"):
+        for key in sorted(committed_keys(out_dir, kind)):
+            path = os.path.join(out_dir, MANIFEST_DIR, f"{kind}={key}.json")
+            with open(path) as fh:
+                yield kind, key, json.load(fh)
+
+
+def committed_files(out_dir: str) -> list:
+    """The exact file list of the committed table (manifest-driven read),
+    over bucket and part manifests alike."""
     files = []
-    mdir = os.path.join(out_dir, MANIFEST_DIR)
-    for part in sorted(committed_parts(out_dir)):
-        with open(os.path.join(mdir, f"part={part}.json")) as fh:
-            m = json.load(fh)
-        files.extend(
-            os.path.join(out_dir, f"part={part}", f) for f in m["files"]
-        )
+    for kind, key, m in _manifests(out_dir):
+        base = out_dir if kind == "bucket" else os.path.join(out_dir, f"part={key}")
+        files.extend(os.path.join(base, f) for f in m["files"])
     return files
 
 
@@ -290,15 +276,7 @@ def read_committed_dataset(out_dir: str, columns=None):
 
 def read_manifests(out_dir: str) -> list:
     """All committed manifests — bucket-keyed and part-keyed alike."""
-    out = []
-    for bucket in sorted(committed_buckets(out_dir)):
-        with open(_manifest_path(out_dir, bucket)) as fh:
-            out.append(json.load(fh))
-    mdir = os.path.join(out_dir, MANIFEST_DIR)
-    for part in sorted(committed_parts(out_dir)):
-        with open(os.path.join(mdir, f"part={part}.json")) as fh:
-            out.append(json.load(fh))
-    return out
+    return [m for _, _, m in _manifests(out_dir)]
 
 
 def export_snapshot(out_dir: str, snap_dir: str) -> dict:
@@ -317,7 +295,7 @@ def export_snapshot(out_dir: str, snap_dir: str) -> dict:
 
     Returns {"files": n, "rows": total} for the exported manifest set."""
     os.makedirs(os.path.join(snap_dir, MANIFEST_DIR), exist_ok=True)
-    files = committed_files(out_dir) + committed_part_files(out_dir)
+    files = committed_files(out_dir)
     rows = 0
     for src in files:
         rel = os.path.relpath(src, out_dir)

@@ -1,8 +1,10 @@
 """End-to-end: Ray pipeline output is byte-identical per url to the
 single-process golden oracle; checkpointed writes resume correctly."""
 
+import glob
 import os
 
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 import ray.data
@@ -11,14 +13,18 @@ from document_text_extraction_ray import schema as S
 from document_text_extraction_ray.pipelines.extract_pipeline import (
     extract_dataset,
     run_extraction_job,
+    run_sharded_extraction_job,
     status_summary,
 )
 from document_text_extraction_ray.sources.corpus import (
     corpus_from_documents,
+    read_corpus,
     synth_corpus_dataset,
     synth_corpus_table,
 )
+from document_text_extraction_ray.stages.extract import extract_batch
 from document_text_extraction_ray.state import checkpoint as ckpt
+from document_text_extraction_ray.util import explain_stats
 
 N = 300
 
@@ -58,11 +64,23 @@ def test_extracted_schema_declared(golden):
     assert ds.schema().base_schema.equals(S.EXTRACTED_SCHEMA)
 
 
+def test_extract_fuses_with_read(tmp_path):
+    """The extraction map runs in the read's tasks (no batch_size boundary)."""
+    # Two files per CPU: Ray's read then needs no SplitBlocks, which would
+    # not fuse either.
+    n_files = 2 * int(ray.cluster_resources()["CPU"])
+    corpus_dir = str(tmp_path / "c")
+    synth_corpus_dataset(40, seed=42).repartition(n_files).write_parquet(corpus_dir)
+    files = sorted(glob.glob(os.path.join(corpus_dir, "*.parquet")))
+    ds = extract_dataset(ray.data.read_parquet(files)).materialize()
+    ops = [o["operator"] for o in explain_stats(ds)]
+    assert len(ops) == 1, ops
+    assert ops[0].startswith("ReadParquet->")
+    assert ops[0].endswith("->MapBatches(extract_batch)")
+    assert ds.count() == 40
+
+
 def test_poison_row_yields_error_status():
-    import pyarrow as pa
-
-    from document_text_extraction_ray.stages.extract import HtmlExtractor
-
     batch = pa.table(
         {
             "url": pa.array(["https://x/1", "https://x/2"]),
@@ -73,13 +91,13 @@ def test_poison_row_yields_error_status():
             "lang": pa.array(["en", "en"]),
         }
     )
-    out = HtmlExtractor(with_fields=False)(batch)
+    out = extract_batch(batch, with_fields=False)
     assert out.column("status").to_pylist() == ["error", "ok"]
     assert out.column("extracted_text").to_pylist()[1] == "good row content here"
 
     from document_text_extraction_ray.functions.fields import extract_all_fields
 
-    out = HtmlExtractor(with_fields=True)(batch)
+    out = extract_batch(batch, with_fields=True)
     assert out.column("status").to_pylist() == ["error", "ok"]
     assert out.column("fields").to_pylist()[0] == extract_all_fields("")
 
@@ -100,7 +118,7 @@ def test_checkpoint_resume(tmp_path):
 
     # Simulate a crashed second run: drop two manifests (their data dirs stay —
     # manifests are the source of truth, so those buckets count as uncommitted).
-    removed = sorted(ckpt.committed_buckets(out_dir))[:2]
+    removed = sorted(ckpt.committed_keys(out_dir, "bucket"))[:2]
     for b in removed:
         os.remove(os.path.join(out_dir, ckpt.MANIFEST_DIR, f"bucket={b}.json"))
 
@@ -142,11 +160,6 @@ def test_corpus_from_documents_normalizes_text():
 
 def test_sharded_job_resume(tmp_path):
     """No-shuffle sharded sink: per-input-file-partition commit + resume."""
-    from document_text_extraction_ray.pipelines.extract_pipeline import (
-        run_sharded_extraction_job,
-    )
-    from document_text_extraction_ray.sources.corpus import synth_corpus_dataset
-
     corpus_dir = str(tmp_path / "corpus")
     synth_corpus_dataset(300, seed=42).repartition(6).write_parquet(corpus_dir)
     out_dir = str(tmp_path / "out")
@@ -156,14 +169,13 @@ def test_sharded_job_resume(tmp_path):
     assert s1["rows"] == 300 and s1["committed"] == s1["partitions"]
 
     # Drop one partition manifest -> only that partition reprocesses.
-    parts = sorted(ckpt.committed_parts(out_dir))
+    parts = sorted(ckpt.committed_keys(out_dir, "part"))
     os.remove(os.path.join(out_dir, ckpt.MANIFEST_DIR, f"part={parts[0]}.json"))
     s2 = run_sharded_extraction_job(corpus_dir, out_dir, run_id="r2",
                                     files_per_partition=2, with_fields=False)
     assert s2["committed"] == 1 and s2["skipped"] == len(parts) - 1
 
-    table = pq.read_table(ckpt.committed_part_files(out_dir),
-                          columns=["url"], partitioning=None)
+    table = ckpt.read_committed_table(out_dir, columns=["url"])
     assert table.num_rows == 300
     assert len(set(table.column("url").to_pylist())) == 300
 
@@ -196,8 +208,6 @@ def test_committed_output_feeds_downstream_ops(tmp_path):
 def test_giant_document_safe():
     """A multi-MB page streams through the pipeline without failure and with
     correct extraction (wide-record safety: large_* types, batch sizing)."""
-    import pyarrow as pa
-
     big_para = "word " * 400_000  # ~2 MB of text
     html = (
         "<html><body><article><p>" + big_para.strip() + "</p></article>"
@@ -227,10 +237,6 @@ def test_cli_surface(tmp_path):
     import subprocess
     import sys
 
-    from document_text_extraction_ray.pipelines.extract_pipeline import (
-        run_sharded_extraction_job,
-    )
-
     corpus_dir = str(tmp_path / "c")
     synth_corpus_dataset(60, seed=42).repartition(2).write_parquet(corpus_dir)
     out_dir = str(tmp_path / "o")
@@ -239,19 +245,17 @@ def test_cli_surface(tmp_path):
     r = subprocess.run(
         [sys.executable, "-m", "document_text_extraction_ray", "summary",
          "--out", out_dir],
-        capture_output=True, text=True, cwd="/root/repo", check=True,
+        capture_output=True, text=True, check=True,
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     )
     d = json.loads(r.stdout.strip().splitlines()[-1])
     assert d["rows"] == 60 and d["errors"] == 0
+    assert d["buckets_committed"] == 0 and d["parts_committed"] == 1
 
 
 def test_sharded_job_skips_corrupt_partition(tmp_path):
     """A corrupt input FILE fails only its partition; the rest commit, and a
     rerun (with the file fixed) completes exactly the failed partition."""
-    from document_text_extraction_ray.pipelines.extract_pipeline import (
-        run_sharded_extraction_job,
-    )
-
     corpus_dir = tmp_path / "corpus"
     synth_corpus_dataset(120, seed=42).repartition(4).write_parquet(str(corpus_dir))
     files = sorted(corpus_dir.glob("*.parquet"))
@@ -269,18 +273,47 @@ def test_sharded_job_skips_corrupt_partition(tmp_path):
     s2 = run_sharded_extraction_job(str(corpus_dir), out_dir, run_id="r2",
                                     files_per_partition=1, with_fields=False)
     assert s2["committed"] == 1 and s2["skipped"] == 3
-    table = pq.read_table(ckpt.committed_part_files(out_dir),
+    table = pq.read_table(ckpt.committed_files(out_dir),
                           columns=["url"], partitioning=None)
     assert table.num_rows == 120
+
+
+@pytest.mark.parametrize("unit", ["bucket", "part"])
+def test_rerun_sweeps_own_run_staging(tmp_path, unit):
+    """A crashed run's staging under the SAME run_id (a resume with
+    ``--resume-run-id``) is swept, never committed with the rerun."""
+    corpus_dir = str(tmp_path / "c")
+    synth_corpus_dataset(60, seed=42).repartition(2).write_parquet(corpus_dir)
+    out_dir = str(tmp_path / "o")
+
+    def run():
+        if unit == "bucket":
+            run_extraction_job(read_corpus(corpus_dir), out_dir, run_id="r1",
+                               input_path=corpus_dir, n_buckets=2,
+                               with_fields=False)
+        else:
+            run_sharded_extraction_job(corpus_dir, out_dir, run_id="r1",
+                                       files_per_partition=1,
+                                       with_fields=False)
+
+    run()
+    os.remove(os.path.join(out_dir, ckpt.MANIFEST_DIR, f"{unit}=0.json"))
+    stale = os.path.join(out_dir, ckpt.STAGING_DIR, "r1", f"{unit}=0")
+    os.makedirs(stale)
+    pq.write_table(pa.table({"url": ["https://stale/1"]}),
+                   os.path.join(stale, "stale.parquet"))
+    run()
+
+    assert not any("stale.parquet" in files for _, _, files in os.walk(out_dir))
+    assert not any(f.endswith("stale.parquet")
+                   for f in ckpt.committed_files(out_dir))
+    urls = ckpt.read_committed_table(out_dir, columns=["url"]).column("url")
+    assert len(urls) == 60 and len(set(urls.to_pylist())) == 60
 
 
 def test_two_runs_identical_output(tmp_path):
     """Determinism under parallel execution: two independent runs over the
     same corpus produce identical tables (row-order-insensitive)."""
-    from document_text_extraction_ray.pipelines.extract_pipeline import (
-        run_sharded_extraction_job,
-    )
-
     corpus_dir = str(tmp_path / "c")
     synth_corpus_dataset(250, seed=42).repartition(5).write_parquet(corpus_dir)
 
@@ -289,7 +322,7 @@ def test_two_runs_identical_output(tmp_path):
         out_dir = str(tmp_path / f"out_{run}")
         run_sharded_extraction_job(corpus_dir, out_dir, run_id=run,
                                    files_per_partition=2, with_fields=True)
-        t = pq.read_table(ckpt.committed_part_files(out_dir), partitioning=None)
+        t = pq.read_table(ckpt.committed_files(out_dir), partitioning=None)
         df = t.select(
             ["url", "extracted_text", "title", "n_blocks", "n_chars", "bucket"]
         ).to_pandas().sort_values("url").reset_index(drop=True)
@@ -299,23 +332,8 @@ def test_two_runs_identical_output(tmp_path):
     pd.testing.assert_frame_equal(frames[0], frames[1])
 
 
-def test_actor_pool_extraction_path(golden):
-    """use_actors=True (warm actor pool) produces identical output to the
-    default stateless-task path."""
-    corpus = synth_corpus_dataset(80, seed=42)
-    out = extract_dataset(corpus, with_fields=False, use_actors=True,
-                          concurrency=2).to_pandas()
-    assert len(out) == 80 and set(out["status"]) == {"ok"}
-    for _, row in out.iterrows():
-        assert row["extracted_text"] == golden[row["url"]][0]
-
-
 def test_empty_corpus_jobs(tmp_path):
     """Empty inputs: zero partitions, zero rows, no crashes."""
-    from document_text_extraction_ray.pipelines.extract_pipeline import (
-        run_sharded_extraction_job,
-    )
-
     empty_dir = tmp_path / "empty"
     empty_dir.mkdir()
     s = run_sharded_extraction_job(str(empty_dir), str(tmp_path / "out"),
@@ -323,8 +341,6 @@ def test_empty_corpus_jobs(tmp_path):
     assert s["partitions"] == 0 and s["rows"] == 0
 
     # Empty (0-row) dataset through the extraction stage.
-    import pyarrow as pa
-
     schema = pa.schema(
         [("url", pa.string()), ("warc_ts", pa.timestamp("us")),
          ("html", pa.large_binary()), ("text", pa.large_string()),

@@ -251,7 +251,7 @@ def test_export_snapshot_isolated_from_recommit(tmp_path):
                      {"files": ["f.parquet"], "row_count": 4})
 
     def read_all(d):
-        t = pq.read_table(ckpt.committed_part_files(d), partitioning=None)
+        t = pq.read_table(ckpt.committed_files(d), partitioning=None)
         return sorted(t.column("v").to_pylist())
 
     assert read_all(out) == [4, 5, 9, 9, 9, 9]
@@ -259,7 +259,7 @@ def test_export_snapshot_isolated_from_recommit(tmp_path):
 
     # snapshot is also readable as a Ray Dataset
     import ray.data as rd
-    ds = rd.read_parquet(ckpt.committed_part_files(snap))
+    ds = rd.read_parquet(ckpt.committed_files(snap))
     assert ds.count() == 5
 
 
