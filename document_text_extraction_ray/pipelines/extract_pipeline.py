@@ -11,9 +11,11 @@ Two resumable jobs, two partitioning strategies:
   * ``run_sharded_extraction_job`` — NO shuffle; commit unit = partition of
     input files (lineage: input file + row counts); resume prunes whole input
     files before the read.  The throughput flagship.
-  * ``run_extraction_job`` — one shuffle on the url-hash ``bucket`` key;
-    commit unit = bucket (hash-partitioned output layout for downstream
-    bucket joins / dedup); resume filters rows by committed bucket.
+  * ``run_extraction_job`` — one range shuffle on the url-hash ``bucket``
+    key over its known domain ``[0, n_buckets)`` (one reduce task per CPU,
+    at most n_buckets); commit unit = bucket (hash-partitioned output
+    layout for downstream bucket joins / dedup); resume filters rows by
+    committed bucket.
 
 No stage materializes the dataset; the streaming executor pipelines read,
 extraction and write with backpressure, and the whole chain FUSES into one
@@ -75,7 +77,7 @@ def run_extraction_job(
     )
     return ckpt.write_bucketed(
         resumed, out_dir, run_id=run_id, input_path=input_path,
-        extractor_version=EXTRACTOR_VERSION,
+        extractor_version=EXTRACTOR_VERSION, n_buckets=n_buckets,
     )
 
 

@@ -3,10 +3,12 @@ single-process golden oracle; checkpointed writes resume correctly."""
 
 import glob
 import os
+import zlib
 
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
+import ray
 import ray.data
 
 from document_text_extraction_ray import schema as S
@@ -140,6 +142,90 @@ def test_checkpoint_resume(tmp_path):
     assert len(manifests) == 8
     assert all(m["extractor_version"] for m in manifests)
     assert sum(m["row_count"] for m in manifests) == 200
+
+
+def _four_file_corpus(tmp_path, n=120):
+    corpus_dir = str(tmp_path / "c")
+    synth_corpus_dataset(n, seed=42).repartition(4).write_parquet(corpus_dir)
+    return corpus_dir
+
+
+@pytest.mark.parametrize("n_buckets", [7, 2])
+def test_bucketed_sink_range_edges(tmp_path, n_buckets):
+    """At 4 CPUs, 7 buckets do not split evenly into 4 ranges and 2 buckets
+    cap the range count at 2; either way every bucket is one committed
+    file holding exactly its crc32(url) % n_buckets rows."""
+    corpus_dir = _four_file_corpus(tmp_path)
+    out_dir = str(tmp_path / "out")
+    s = run_extraction_job(read_corpus(corpus_dir), out_dir, run_id="r1",
+                           input_path=corpus_dir, n_buckets=n_buckets,
+                           with_fields=False)
+    assert s == {"committed": n_buckets, "skipped": 0, "rows": 120}
+    urls = []
+    for m in ckpt.read_manifests(out_dir):
+        assert m["files"] == [f"bucket={m['bucket']}/part-00000.parquet"]
+        t = pq.read_table(os.path.join(out_dir, m["files"][0]),
+                          columns=["url"], partitioning=None)
+        assert t.num_rows == m["row_count"]
+        got = t.column("url").to_pylist()
+        assert all(zlib.crc32(u.encode("utf-8")) % n_buckets == m["bucket"]
+                   for u in got)
+        urls += got
+    assert len(set(urls)) == len(urls) == 120
+
+
+@pytest.mark.parametrize("cpus,n_buckets,expected", [
+    (4, 7, [1, 3, 5]), (4, 2, [1]), (4, 64, [16, 32, 48]), (1, 64, [64]),
+])
+def test_range_boundaries(monkeypatch, cpus, n_buckets, expected):
+    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": cpus})
+    assert ckpt._range_boundaries(n_buckets) == expected
+
+
+@pytest.mark.parametrize("boundaries", [[1, 3, 5], [1], [7]])
+def test_range_shuffle_one_block_per_range(boundaries):
+    """One block per range, each sorted, no bucket in two blocks; keys past
+    the last boundary (here 7..9) land in the last block."""
+    ds = ray.data.from_items(
+        [{"bucket": (i * 7) % 10, "i": i} for i in range(200)]
+    ).repartition(6)
+    out = ckpt._range_shuffle(ds, boundaries).materialize()
+    tables = [ray.get(r) for r in out.to_arrow_refs()]
+    blocks = [t.column("bucket").to_pylist() if t.num_rows else []
+              for t in tables]
+    assert len(blocks) == len(boundaries) + 1
+    assert sum(map(len, blocks)) == 200
+    assert all(b == sorted(b) for b in blocks)
+    owners = [set(b) for b in blocks]
+    assert sum(map(len, owners)) == len(set().union(*owners))
+    assert all(k >= boundaries[-1] for k in owners[-1])
+
+
+def _sort_each_block(self, key, descending=False, boundaries=None):
+    return self.map_batches(lambda b: b.sort_by(key), batch_size=None,
+                            batch_format="pyarrow")
+
+
+@pytest.mark.parametrize("fake_sort,error", [
+    (lambda self, key, descending=False, boundaries=None: self,
+     "not sorted by bucket"),
+    (_sort_each_block, "more than one piece"),
+])
+def test_bucket_in_two_pieces_fails_loud(tmp_path, monkeypatch, fake_sort,
+                                         error):
+    """Without the range shuffle, a bucket reaches the write step in pieces
+    that would overwrite each other's part-00000: the unsorted block is
+    refused in the write task, and per-block sorted blocks by the driver,
+    and neither commits a manifest."""
+    corpus_dir = _four_file_corpus(tmp_path)
+    out_dir = str(tmp_path / "out")
+    monkeypatch.setattr(ray.data.Dataset, "sort", fake_sort)
+    with pytest.raises(Exception, match=error):
+        run_extraction_job(read_corpus(corpus_dir), out_dir, run_id="r1",
+                           input_path=corpus_dir, n_buckets=8,
+                           with_fields=False)
+    assert not glob.glob(os.path.join(out_dir, ckpt.MANIFEST_DIR,
+                                      "bucket=*.json"))
 
 
 def test_corpus_from_documents_normalizes_text():
