@@ -4,7 +4,7 @@ a 100 TB corpus-preparation job would run them.
     corpus parquet
       -> main-content extraction (+ spans, fields)          [streaming tasks]
       -> quality gate (length / quality-score thresholds)   [vectorized filter]
-      -> exact dedup (content hash, min-url wins)           [thin shuffle]
+      -> exact dedup (content hash, min-url wins)           [bucket exchange]
       -> near dedup (MinHash+LSH clusters, min-url wins)    [banded, defused]
       -> language filter (predicted language whitelist)     [vectorized]
       -> checkpointed Parquet sink
@@ -194,7 +194,7 @@ def prepare_training_data(
         # arrow-native attach (join.attach_column) — the full rows carry
         # nested field structs, which the arrow hash join rejects and a
         # pandas-merge join corrupts on the arrow round-trip (the same
-        # constraint that picks exact_dedup's shuffle strategy below)
+        # constraint that makes exact_dedup's fold Arrow below)
         from ..stages.join import attach_column
 
         slim = cleaned.map_batches(
@@ -233,11 +233,11 @@ def exact_dedup_survivors(ds):
     """Exact dedup keyed on extracted_text with url as the deterministic
     tie-break id.
 
-    Survivor recovery is the co-partitioned shuffle plan (exact_dedup
-    strategy='shuffle': groupby content_hash, keep min-url row) — the
+    Survivor recovery is ``exact_dedup``'s co-partitioned plan (exchange
+    on a content_hash bucket, keep the min-url row per hash) — the
     survivor set is ~corpus cardinality, so it must never be
     collected/broadcast from the driver; nested columns (field structs,
-    span lists) rule out the arrow-join variant."""
+    span lists) rule out an arrow-join plan."""
     from ..stages.dedup import exact_dedup
 
-    return exact_dedup(ds, "extracted_text", "url", strategy="shuffle")
+    return exact_dedup(ds, "extracted_text", "url")

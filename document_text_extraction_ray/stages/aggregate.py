@@ -20,39 +20,39 @@ import numpy as np
 import pandas as pd
 from ray.data.aggregate import Count, Sum
 
+from .exchange import bucket_exchange
+from .join import _bucket_array_multi
 
-def _with_bucket(t, key: str, n_buckets: int):
+_TAG = "__gbucket"
+
+
+def _tagged(ds, key_cols, n_buckets: int):
+    """``ds`` plus ``__gbucket`` = hash(key tuple) % ``n_buckets``: every
+    key's rows share one bucket, so any per-key fold inside a bucket is
+    exact."""
     import pyarrow as pa
 
-    from .join import _bucket_array
-
-    return t.append_column(
-        "__abucket", pa.array(_bucket_array(t.column(key), n_buckets), pa.int32())
+    return ds.map_batches(
+        lambda t: t.append_column(_TAG, pa.array(
+            _bucket_array_multi(t, key_cols, n_buckets), pa.int32())),
+        batch_format="pyarrow",
     )
 
 
 def bucketed_combine(partials, key: str, combine_fn, n_buckets: int = 32):
-    """Final-combine partial aggregates without Ray's key-sort exchange:
-    hash-bucket the key into ``n_buckets``, shuffle on the SMALL bucket id,
-    and run ``combine_fn`` (a pyarrow group_by reduce over one bucket's
-    rows) per bucket.
+    """Final-combine partial aggregates on a hash bucket of the key: tag
+    hash(key) % ``n_buckets``, exchange on the small bucket id
+    (``exchange.bucket_exchange``: fixed range boundaries, no sampling
+    stage), and run ``combine_fn`` (a pyarrow group_by reduce over one
+    bucket's rows) per bucket.
 
     Ray's ``groupby(key)`` sorts the exchange by the full key — measured
-    11x slower than this plan at 600k rows / 147k keys (sort cost grows
-    with key cardinality; 32 bucket ids sort trivially).  Every key lands
-    wholly in one bucket, so the combine is exact.  Size ``n_buckets`` so
-    one bucket's distinct keys fit a single task (~cluster cores at
-    100-TB scale)."""
-    return (
-        partials.map_batches(
-            lambda t: _with_bucket(t, key, n_buckets), batch_format="pyarrow"
-        )
-        .groupby("__abucket")
-        .map_groups(
-            lambda t: combine_fn(t.drop_columns(["__abucket"])),
-            batch_format="pyarrow",
-        )
-    )
+    11x slower than a bucketed plan at 600k rows / 147k keys (its sort
+    cost grows with key cardinality).  Every key lands wholly in one
+    bucket, so the combine is exact."""
+    return bucket_exchange(
+        _tagged(partials, [key], n_buckets), _TAG, n_buckets,
+        lambda t: combine_fn(t.drop_columns([_TAG])), "pyarrow")
 
 
 def pre_aggregated_sum(ds, key: str, value: str, n_buckets: int = 32):
@@ -86,21 +86,6 @@ def pre_aggregated_sum(ds, key: str, value: str, n_buckets: int = 32):
     return bucketed_combine(partials, key, combine, n_buckets)
 
 
-def _add_tuple_bucket(t, key_cols, n_buckets: int, col: str = "__gbucket"):
-    """Append hash(key tuple) % n_buckets — every key's rows land in one
-    bucket, so any per-key fold inside a bucket is exact."""
-    import pyarrow as pa
-
-    from .join import _bucket_array
-
-    h = np.zeros(t.num_rows, dtype=np.uint64)
-    for c in key_cols:
-        h = (h * np.uint64(1099511628211)
-             + _bucket_array(t.column(c), n_buckets).astype(np.uint64))
-    b = (h % np.uint64(n_buckets)).astype(np.int32)
-    return t.append_column(col, pa.array(b, pa.int32()))
-
-
 def bucketed_fold(ds, key_cols, bucket_fn, n_buckets: int = 32):
     """Bucket-hash exchange + whole-bucket VECTORIZED fold: like
     ``bucketed_map_groups`` but ``bucket_fn`` receives the ENTIRE bucket
@@ -115,25 +100,17 @@ def bucketed_fold(ds, key_cols, bucket_fn, n_buckets: int = 32):
     buckets.  ``bucket_fn`` must return typed output for empty input (it
     derives dtypes from the input frame, so vectorized folds do naturally)."""
     key_cols = [key_cols] if isinstance(key_cols, str) else list(key_cols)
-
-    return (
-        ds.map_batches(
-            lambda t: _add_tuple_bucket(t, key_cols, n_buckets),
-            batch_format="pyarrow",
-        )
-        .groupby("__gbucket")
-        .map_groups(
-            lambda g: bucket_fn(g.drop(columns=["__gbucket"])),
-            batch_format="pandas",
-        )
-    )
+    return bucket_exchange(
+        _tagged(ds, key_cols, n_buckets), _TAG, n_buckets,
+        lambda g: bucket_fn(g.drop(columns=[_TAG])), "pandas")
 
 
 def bucketed_map_groups(ds, key_cols, fold_fn, empty_result=None,
                         n_buckets: int = 32):
-    """``groupby(key_cols).map_groups(fold_fn)`` without the key-sort
-    exchange: shuffle on hash(keys) % ``n_buckets`` and run a pandas
-    groupby + per-group fold inside each bucket task.
+    """``groupby(key_cols).map_groups(fold_fn)`` on a hash bucket of the
+    keys: exchange on hash(keys) % ``n_buckets``
+    (``exchange.bucket_exchange``) and run a pandas groupby + per-group
+    fold inside each bucket task.
 
     Exact for any fold whose groups are key-complete (every key's rows land
     in one bucket — guaranteed by hashing the keys).  Same motivation as
@@ -153,7 +130,7 @@ def bucketed_map_groups(ds, key_cols, fold_fn, empty_result=None,
     key_cols = [key_cols] if isinstance(key_cols, str) else list(key_cols)
 
     def fold_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["__gbucket"])
+        g = g.drop(columns=[_TAG])
         outs = [
             fold_fn(sub)
             for _, sub in g.groupby(key_cols, sort=False, dropna=False)
@@ -165,14 +142,8 @@ def bucketed_map_groups(ds, key_cols, fold_fn, empty_result=None,
             return empty_result if empty_result is not None else fold_fn(g.iloc[0:0])
         return pd.concat(outs, ignore_index=True)
 
-    return (
-        ds.map_batches(
-            lambda t: _add_tuple_bucket(t, key_cols, n_buckets),
-            batch_format="pyarrow",
-        )
-        .groupby("__gbucket")
-        .map_groups(fold_bucket, batch_format="pandas")
-    )
+    return bucket_exchange(_tagged(ds, key_cols, n_buckets), _TAG, n_buckets,
+                           fold_bucket, "pandas")
 
 
 def pre_aggregated_count(ds, key: str, n_buckets: int = 32,
@@ -582,11 +553,11 @@ def heavy_hitters(ds, value_col: str, k: int = 256):
         return out
 
     # The sketch is <= k rows per batch: one merge task sees everything.
-    return partials.map_batches(
-        lambda t: t.append_column("__g", pa_const(t.num_rows)),
-        batch_format="pyarrow",
-    ).groupby("__g").map_groups(
-        lambda g: merge(g.drop(columns=["__g"])), batch_format="pandas")
+    return bucket_exchange(
+        partials.map_batches(
+            lambda t: t.append_column("__g", pa_const(t.num_rows)),
+            batch_format="pyarrow"),
+        "__g", 1, lambda g: merge(g.drop(columns=["__g"])), "pandas")
 
 
 def pa_const(n: int):

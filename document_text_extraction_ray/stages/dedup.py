@@ -29,6 +29,7 @@ import ray.data
 
 from ..functions import dedup as D
 from ..functions import textstats as T
+from .exchange import bucket_exchange
 
 
 # ---------------------------------------------------------------- exact dedup
@@ -53,48 +54,34 @@ def exact_dedup_ids(ds, text_column: str, id_column: str):
     return thin.groupby("content_hash").aggregate(Min(id_column, alias_name=id_column))
 
 
-def exact_dedup(ds, text_column: str, id_column: str, strategy: str = "shuffle",
-                n_partitions: int = 16):
+def exact_dedup(ds, text_column: str, id_column: str):
     """Full-row exact dedup: keep the min-id row per content hash.
 
-    Three equivalent physical plans (equivalence-tested):
-      * ``"shuffle"`` (default, the scale path): hash-co-partition the full
-        rows on content_hash, keep the min-id row per group — ONE full-row
-        shuffle, bounded everywhere, works with any schema (incl. nested
-        columns, which pyarrow joins reject).  The survivor set is ~corpus
-        cardinality, so it must never be driver-collected at 100 TB.
-      * ``"join"``: thin survivor-id aggregate + one distributed hash join —
-        same bounds; only for FLAT schemas (arrow join limitation).
-      * ``"broadcast"``: survivor ids ``take_all``-ed + vectorized ``is_in``
-        filter — no full-row shuffle; small corpora only."""
-    if strategy == "shuffle":
-        hashed = add_content_hash(ds, text_column)
+    One full-row exchange: tag ``content_hash % 32``, exchange on the tag
+    (``exchange.bucket_exchange``), and per bucket keep the first row of
+    each hash run after one sort on (content_hash, id).  The fold is
+    Arrow, so nested columns (field structs, span lists) pass intact —
+    pyarrow joins reject them and a pandas round-trip corrupts them.  The
+    survivor set is ~corpus cardinality, so it is never collected to the
+    driver."""
+    n_buckets = 32
 
-        def keep_min(g: pa.Table) -> pa.Table:
-            ids = g.column(id_column)
-            i = pc.index(ids, pc.min(ids)).as_py()
-            return g.take([i]).drop_columns(["content_hash"])
+    def tag(t: pa.Table) -> pa.Table:
+        h = t.column("content_hash").to_numpy()
+        return t.append_column("__dbucket", pa.array(
+            (h % np.uint64(n_buckets)).astype(np.int32)))
 
-        return hashed.groupby("content_hash").map_groups(
-            keep_min, batch_format="pyarrow"
-        )
+    def keep_first(t: pa.Table) -> pa.Table:
+        order = pc.sort_indices(t, [("content_hash", "ascending"),
+                                    (id_column, "ascending")]).to_numpy()
+        h = t.column("content_hash").to_numpy()[order]
+        first = order[np.r_[True, h[1:] != h[:-1]]]
+        return t.take(first).drop_columns(["content_hash", "__dbucket"])
 
-    kept = exact_dedup_ids(ds, text_column, id_column)
-    if strategy == "join":
-        from .join import native_join
-
-        kept_ids = kept.select_columns([id_column])
-        return native_join(ds, kept_ids, on=id_column, n_partitions=n_partitions,
-                           right_from_aggregate=True)
-
-    kept_arr = pa.array(sorted(r[id_column] for r in kept.take_all()))
-    kept_ref = ray.put(kept_arr)
-
-    def _semi(batch: pa.Table) -> pa.Table:
-        ids = ray.get(kept_ref)
-        return batch.filter(pc.is_in(batch.column(id_column), value_set=ids))
-
-    return ds.map_batches(_semi, batch_format="pyarrow")
+    hashed = add_content_hash(ds, text_column).map_batches(
+        tag, batch_format="pyarrow")
+    return bucket_exchange(hashed, "__dbucket", n_buckets, keep_first,
+                           "pyarrow")
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -159,8 +146,7 @@ def build_bloom(old_ds, key_column: str, m_bits: int = 1 << 23, k: int = 4,
         return pd.DataFrame({"part": [g["part"].iloc[0]],
                              "bloom": [acc.tobytes()]})
 
-    merged = partials.groupby("part").map_groups(or_fold,
-                                                 batch_format="pandas")
+    merged = bucket_exchange(partials, "part", n_merge, or_fold, "pandas")
     acc = np.zeros(m_bits // 8, dtype=np.uint8)
     for row in merged.take_all():  # <= n_merge rows, bounded
         acc |= np.frombuffer(bytes(row["bloom"]), dtype=np.uint8)
@@ -1687,10 +1673,9 @@ def dedup_keep_best(ds, text_column: str, id_column: str, order_cols,
     canonical source, the highest quality score, the newest snapshot).
 
     One bounded full-row exchange on the hash (the ``exact_dedup``
-    "shuffle" plan) with a whole-bucket vectorized sort +
-    ``drop_duplicates`` fold — no per-group Python.  Flat schemas only
-    (the fold is pandas; nested columns should route through
-    ``exact_dedup(strategy='shuffle')``'s arrow fold)."""
+    plan) with a whole-bucket vectorized sort + ``drop_duplicates`` fold
+    — no per-group Python.  Flat schemas only (the fold is pandas; nested
+    columns should route through ``exact_dedup``'s arrow fold)."""
     from .aggregate import bucketed_fold
 
     order_cols = [order_cols] if isinstance(order_cols, str) \

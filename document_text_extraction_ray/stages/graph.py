@@ -1124,6 +1124,7 @@ def resolve_pointers(redirects, src_col: str = "src", dst_col: str = "dst",
     rather than looping forever.  Returns a Dataset of (src, final,
     hops)."""
     from ..util import pool_size
+    from .exchange import bucket_exchange
     from .join import _bucket_array
 
     n_buckets = max(1, min(n_buckets, pool_size()))
@@ -1183,9 +1184,9 @@ def resolve_pointers(redirects, src_col: str = "src", dst_col: str = "dst",
         tagged = state.map_batches(
             lambda t: tag(t, 0), batch_format="pyarrow").union(
             state.map_batches(lambda t: tag(t, 1), batch_format="pyarrow"))
-        state = tagged.groupby("__jbucket").map_groups(
-            lambda g, _c=check: step_bucket(g, _c),
-            batch_format="pandas").materialize()
+        state = bucket_exchange(
+            tagged, "__jbucket", n_buckets,
+            lambda g, _c=check: step_bucket(g, _c), "pandas").materialize()
         n_moved = state.sum("moved") or 0
         if n_moved == 0:
             break

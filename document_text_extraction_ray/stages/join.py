@@ -7,8 +7,8 @@ Two strategies, chosen by side size (ray_guide "Joins and lookups"):
     a worker's heap (dimension tables, vocabularies).
   * partitioned_hash_join — both sides large: add ``__jbucket = hash(key) % B``
     to each side, tag provenance, align schemas with typed nulls, union, one
-    groupby on the bucket, and merge the two sides of each bucket inside
-    ``map_groups``.  Exactly one shuffle of each side; B sized so a bucket
+    ``bucket_exchange`` on the bucket id, and merge the two sides of each
+    bucket in its fold.  Exactly one shuffle of each side; B sized so a bucket
     pair fits in one task.  Salt hot keys upstream when a single key
     dominates.
 """
@@ -22,6 +22,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
+
+from .exchange import bucket_exchange
 
 
 def broadcast_join(
@@ -115,8 +117,9 @@ def _bucket_array(col: pa.ChunkedArray, n_buckets: int) -> np.ndarray:
 
 def _bucket_array_multi(tbl: pa.Table, on_cols, n_buckets: int) -> np.ndarray:
     """Composite-key bucket: per-column uint64 hashes mixed with a prime
-    multiplier (the ``_add_tuple_bucket`` pattern) — equal key TUPLES land
-    in the same bucket, unequal tuples spread, no key concatenation."""
+    multiplier — equal key TUPLES land in the same bucket, unequal tuples
+    spread, no key concatenation.  For one column it equals
+    ``_bucket_array``."""
     h = np.zeros(tbl.num_rows, dtype=np.uint64)
     for c in on_cols:
         h = h * np.uint64(1000003) + _key_hash(tbl.column(c))
@@ -160,11 +163,11 @@ def partitioned_hash_join(
     Deterministic bucket = Knuth multiplicative hash (ints) / crc32
     (strings) mod B, per-column hashes prime-mixed for composites.  Each
     side is shuffled exactly once; a bucket's two sides meet in a single
-    map_groups task.  ``how`` supports 'inner', 'left' and 'outer' (FULL
-    OUTER — exact per bucket because equal key tuples land in the same
-    bucket on both sides, so a row unmatched in its bucket is unmatched
-    globally; null keys never equi-match — a tuple with ANY null component
-    matches nothing, SQL semantics).
+    fold call (``exchange.bucket_exchange``).  ``how`` supports 'inner',
+    'left' and 'outer' (FULL OUTER — exact per bucket because equal key
+    tuples land in the same bucket on both sides, so a row unmatched in its
+    bucket is unmatched globally; null keys never equi-match — a tuple with
+    ANY null component matches nothing, SQL semantics).
 
     Pass ``left_schema``/``right_schema`` (pyarrow) when a side sits behind
     map_batches: ``Dataset.schema()`` on such a side executes its upstream
@@ -271,7 +274,7 @@ def partitioned_hash_join(
                     out[k] = out[k].astype("Int64")
         return out
 
-    return tagged.groupby("__jbucket").map_groups(join_bucket, batch_format="pandas")
+    return bucket_exchange(tagged, "__jbucket", n_buckets, join_bucket, "pandas")
 
 
 def asof_join(
@@ -358,7 +361,7 @@ def asof_join(
                 merged[c] = merged[c].astype(dt)
         return merged[out_cols]
 
-    return tagged.groupby("__jbucket").map_groups(join_bucket, batch_format="pandas")
+    return bucket_exchange(tagged, "__jbucket", n_buckets, join_bucket, "pandas")
 
 
 def range_join(
@@ -525,8 +528,8 @@ def range_join(
             return typed_empty()
         return pd.concat(out_parts, ignore_index=True)[out_cols]
 
-    return tagged.groupby("__jbucket").map_groups(
-        match_bucket, batch_format="pandas")
+    return bucket_exchange(tagged, "__jbucket", n_buckets, match_bucket,
+                           "pandas")
 
 
 def interval_overlap_join(
@@ -687,8 +690,8 @@ def interval_overlap_join(
             return typed_empty()
         return pd.concat(out_parts, ignore_index=True)[out_cols]
 
-    return tagged.groupby("__jbucket").map_groups(
-        match_bucket, batch_format="pandas")
+    return bucket_exchange(tagged, "__jbucket", n_buckets, match_bucket,
+                           "pandas")
 
 
 def semi_join(left, right, on: str, n_partitions: int = 16):
@@ -719,7 +722,7 @@ def anti_join(left, right, on: str, n_buckets: int = 32, left_schema=None):
 
     Physical plan: both sides gain ``__jbucket = hash(key) % B``; the right
     side is padded to the left schema with typed nulls so the union is
-    block-level; one groupby on the bucket id and a vectorized
+    block-level; one ``bucket_exchange`` on the bucket id and a vectorized
     ``is_in``-invert per bucket.  ONE bounded full-row shuffle of the left
     side, arrow-native throughout — unlike ``Dataset.join`` this works with
     NESTED left columns (struct fields, span lists), which pyarrow joins
@@ -769,9 +772,8 @@ def anti_join(left, right, on: str, n_buckets: int = 32, left_schema=None):
         keep = pc.or_kleene(pc.invert(member), pc.is_null(lhs.column(on)))
         return lhs.filter(pc.fill_null(keep, True))
 
-    return tagged.groupby("__jbucket").map_groups(
-        filter_bucket, batch_format="pyarrow"
-    )
+    return bucket_exchange(tagged, "__jbucket", n_buckets, filter_bucket,
+                           "pyarrow")
 
 
 def attach_column(big, slim, on: str, value_col: str, n_buckets: int = 32,
@@ -836,8 +838,8 @@ def attach_column(big, slim, on: str, value_col: str, n_buckets: int = 32,
         return lhs.set_column(lhs.column_names.index(value_col),
                               value_col, vals)
 
-    return tagged.groupby("__jbucket").map_groups(
-        resolve_bucket, batch_format="pyarrow"
+    return bucket_exchange(
+        tagged, "__jbucket", n_buckets, resolve_bucket, "pyarrow"
     ).map_batches(lambda t: t.select(out_names), batch_format="pyarrow")
 
 

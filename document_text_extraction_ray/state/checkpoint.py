@@ -23,12 +23,11 @@ Protocol (SURVEY.md §7.5 item 3 — sinks are at-least-once under retries):
 A bucket manifest lists out_dir-relative paths, a part manifest basenames
 under ``part=K/``; ``committed_files`` is the one reader that knows this.
 
-The bucket sink shuffles by range on the key domain it already knows,
-``[0, n_buckets)``: fixed sort boundaries (no sampling stage) cut it into
-R = min(n_buckets, Ray CPUs) contiguous ranges, one reduce task each, and
-every task writes one file per bucket of its range.  Scale contract: a
-reduce task holds ceil(n_buckets / R) buckets; when a range outgrows a
-task, raise ``n_buckets``, not R.
+The bucket sink exchanges rows on the key domain it already knows,
+``[0, n_buckets)``, through ``stages.exchange.bucket_exchange`` (fixed
+range boundaries, no sampling stage, one reduce task per range), and every
+task writes one file per bucket of its range.  Scale contract: see
+``bucket_exchange`` (a task holds about 1/R of the rows).
 
 On an object store (S3-style, no atomic rename) step 3 becomes
 "manifest lists the staged file keys" — the manifest-as-truth protocol is
@@ -110,24 +109,6 @@ def make_resume_filter(out_dir: str):
     return _filter
 
 
-def _range_boundaries(n_buckets: int) -> list:
-    """Sort boundaries splitting the bucket domain ``[0, n_buckets)`` into
-    R = min(n_buckets, Ray CPU count) contiguous ranges."""
-    import ray
-
-    r = max(1, min(n_buckets, int(ray.cluster_resources().get("CPU", 1))))
-    if r == 1:
-        return [n_buckets]  # an empty list would make Ray sample instead
-    return [i * n_buckets // r for i in range(1, r)]
-
-
-def _range_shuffle(ds, boundaries: list):
-    """Lazy range shuffle of ``ds`` on ``bucket``: one sorted block per
-    range ``[b_{i-1}, b_i)``, ``len(boundaries) + 1`` blocks in all; a key
-    past the last boundary lands in the last block."""
-    return ds.sort("bucket", boundaries=boundaries)
-
-
 def write_bucketed(
     ds,
     out_dir: str,
@@ -140,13 +121,9 @@ def write_bucketed(
     ``[0, n_buckets)``) into checkpointed per-bucket Parquet under
     ``out_dir``; commit manifests; return summary.
 
-    One range shuffle on the known key domain (boundaries from
-    ``n_buckets``, no sampling stage), then one task per range, R =
-    min(n_buckets, Ray CPUs), writes each bucket run of its sorted block to
-    one file and computes the bucket's lineage stats in-task.  Scale
-    contract: a task holds ceil(n_buckets / R) buckets; when a range
-    outgrows a task, raise ``n_buckets``, not R.  A ``n_buckets`` that does
-    not match the column only unbalances the ranges, never splits a bucket.
+    One ``bucket_exchange`` on the known key domain, then each bucket run
+    is written to one file and its lineage stats are computed in-task.
+    Scale contract: ``stages.exchange.bucket_exchange``.
 
     Idempotent: buckets already committed are never overwritten (their staged
     duplicates are discarded), so at-least-once task retries and job restarts
@@ -154,18 +131,21 @@ def write_bucketed(
     step in two pieces (an unsorted block, or two stats rows) raises before
     any manifest is written: both pieces would write ``part-00000``.
     """
-    import numpy as np
     import pyarrow as pa
+
+    from ..stages.exchange import bucket_exchange
 
     staging = os.path.join(out_dir, STAGING_DIR, run_id)
     sweep_staging(out_dir)
 
-    stats_schema = pa.schema(
-        [("bucket", pa.int32()), ("row_count", pa.int64()),
-         ("ok_count", pa.int64()), ("total_chars", pa.int64())]
-    )
-
-    def write_group(group: pa.Table) -> dict:
+    def write_group(group: pa.Table) -> pa.Table:
+        # The shuffle may dictionary-encode columns in some blocks; decode
+        # so every committed file carries one uniform schema.
+        for i, f in enumerate(group.schema):
+            if pa.types.is_dictionary(f.type):
+                group = group.set_column(
+                    i, f.name, group.column(f.name).cast(f.type.value_type)
+                )
         bucket = group.column("bucket")[0].as_py()
         bucket_dir = os.path.join(staging, f"bucket={bucket}")
         os.makedirs(bucket_dir, exist_ok=True)
@@ -178,37 +158,13 @@ def write_bucketed(
             ).as_py() or 0
         if "n_chars" in group.column_names:
             chars = pc.sum(group.column("n_chars")).as_py() or 0
-        return {"bucket": bucket, "row_count": group.num_rows,
-                "ok_count": ok, "total_chars": chars}
+        return pa.table({"bucket": [bucket], "row_count": [group.num_rows],
+                         "ok_count": [ok], "total_chars": [chars]})
 
-    def write_range(block: pa.Table) -> pa.Table:
-        if block.num_rows == 0:
-            return stats_schema.empty_table()
-        # The shuffle may dictionary-encode columns in some blocks; decode
-        # so every committed file carries one uniform schema.
-        for i, f in enumerate(block.schema):
-            if pa.types.is_dictionary(f.type):
-                block = block.set_column(
-                    i, f.name, block.column(f.name).cast(f.type.value_type)
-                )
-        keys = block.column("bucket").to_numpy()
-        steps = np.diff(keys)
-        if (steps < 0).any():
-            raise ValueError("write_bucketed: a block is not sorted by bucket")
-        starts = [0, *(np.flatnonzero(steps) + 1).tolist(), block.num_rows]
-        return pa.Table.from_pylist(
-            [write_group(block.slice(a, b - a))
-             for a, b in zip(starts, starts[1:])],
-            schema=stats_schema,
-        )
-
-    # Per-range writes, not write_parquet(partition_cols=...), which fans
+    # Per-bucket writes, not write_parquet(partition_cols=...), which fans
     # every block into every bucket dir: blocks x buckets tiny files.
-    stats_rows = (
-        _range_shuffle(ds, _range_boundaries(n_buckets))
-        .map_batches(write_range, batch_size=None, batch_format="pyarrow")
-        .take_all()
-    )
+    stats_rows = bucket_exchange(ds, "bucket", n_buckets, write_group,
+                                 "pyarrow").take_all()
     seen = collections.Counter(int(r["bucket"]) for r in stats_rows)
     split = sorted(b for b, n in seen.items() if n > 1)
     if split:

@@ -1,6 +1,7 @@
 """Dedup kernels + Dataset pipelines (exact, MinHash+LSH, SimHash, n-gram)."""
 
 import numpy as np
+import pyarrow as pa
 import ray
 import ray.data
 
@@ -113,16 +114,25 @@ def test_cluster_pairs_min_id_is_natural_order():
     assert labels[30] == 2
 
 
+def min_id_rows(rows):
+    """Plain-Python exact-dedup oracle: the full min-id row per text."""
+    best = {}
+    for r in rows:
+        if r["text"] not in best or r["doc_id"] < best[r["text"]]["doc_id"]:
+            best[r["text"]] = r
+    return sorted(best.values(), key=lambda r: r["doc_id"])
+
+
 def test_exact_dedup_strategies_equivalent():
-    """Survivor recovery: co-partitioned shuffle == distributed join ==
-    broadcast semi-join."""
-    ds = _docs()
-    a = SD.exact_dedup(ds, "text", "doc_id", strategy="shuffle").to_pandas()
-    b = SD.exact_dedup(ds, "text", "doc_id", strategy="join").to_pandas()
-    c = SD.exact_dedup(ds, "text", "doc_id", strategy="broadcast").to_pandas()
-    assert sorted(a["doc_id"]) == sorted(b["doc_id"]) == sorted(c["doc_id"]) \
-        == [1, 3, 4, 5]
-    assert sorted(a.columns) == sorted(c.columns)
+    """The min-id row per text survives whole, nested struct column and
+    empty text included (oracle: plain Python)."""
+    rows = [{"doc_id": i, "text": t, "meta": {"n": i, "tags": [t[:5], "x"]}}
+            for i, t in [(4, OTHER), (2, BASE), (1, BASE), (3, NEAR),
+                         (6, ""), (5, "")]]
+    ds = ray.data.from_arrow(pa.Table.from_pylist(rows))
+    got = SD.exact_dedup(ds, "text", "doc_id").take_all()
+    assert sorted(got, key=lambda r: r["doc_id"]) == min_id_rows(rows)
+    assert [r["doc_id"] for r in min_id_rows(rows)] == [1, 3, 4, 5]
 
 
 def test_cluster_pairs_distributed_matches_union_find():

@@ -136,24 +136,27 @@ def test_cluster_pairs_distributed_random_graphs():
 
 def test_exact_dedup_strategies_random_equivalence():
     import numpy as np
+    import pyarrow as pa
     import ray.data as rd
 
     from document_text_extraction_ray.stages import dedup as SD
 
     rng = np.random.RandomState(5)
-    rows = [{"doc_id": i, "text": f"text {rng.randint(0, 12)}", "extra": i * 2}
-            for i in range(80)]
-    ds = rd.from_items(rows)
-    got = {}
-    for strat in ("shuffle", "join", "broadcast"):
-        df = SD.exact_dedup(ds, "text", "doc_id", strategy=strat).to_pandas()
-        got[strat] = sorted(zip(df["doc_id"], df["extra"]))
-    assert got["shuffle"] == got["join"] == got["broadcast"]
-    # survivor = min doc_id per distinct text
-    texts = {}
+    ids = rng.permutation(80)
+    rows = []
+    for i in range(80):
+        k = rng.randint(0, 12)
+        rows.append({"doc_id": int(ids[i]), "text": f"text {k}" if k else "",
+                     "extra": i * 2, "meta": {"k": k, "ids": [i, i + 1]}})
+    ds = rd.from_arrow(pa.Table.from_pylist(rows)).repartition(5)
+    got = SD.exact_dedup(ds, "text", "doc_id").take_all()
+    # oracle: the full min-id row per distinct text
+    best = {}
     for r in rows:
-        texts.setdefault(r["text"], r["doc_id"])
-    assert [d for d, _ in got["shuffle"]] == sorted(texts.values())
+        if r["text"] not in best or r["doc_id"] < best[r["text"]]["doc_id"]:
+            best[r["text"]] = r
+    assert sorted(got, key=lambda r: r["doc_id"]) == \
+        sorted(best.values(), key=lambda r: r["doc_id"])
 
 
 @settings(max_examples=100, deadline=None)

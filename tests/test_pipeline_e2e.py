@@ -174,33 +174,6 @@ def test_bucketed_sink_range_edges(tmp_path, n_buckets):
     assert len(set(urls)) == len(urls) == 120
 
 
-@pytest.mark.parametrize("cpus,n_buckets,expected", [
-    (4, 7, [1, 3, 5]), (4, 2, [1]), (4, 64, [16, 32, 48]), (1, 64, [64]),
-])
-def test_range_boundaries(monkeypatch, cpus, n_buckets, expected):
-    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": cpus})
-    assert ckpt._range_boundaries(n_buckets) == expected
-
-
-@pytest.mark.parametrize("boundaries", [[1, 3, 5], [1], [7]])
-def test_range_shuffle_one_block_per_range(boundaries):
-    """One block per range, each sorted, no bucket in two blocks; keys past
-    the last boundary (here 7..9) land in the last block."""
-    ds = ray.data.from_items(
-        [{"bucket": (i * 7) % 10, "i": i} for i in range(200)]
-    ).repartition(6)
-    out = ckpt._range_shuffle(ds, boundaries).materialize()
-    tables = [ray.get(r) for r in out.to_arrow_refs()]
-    blocks = [t.column("bucket").to_pylist() if t.num_rows else []
-              for t in tables]
-    assert len(blocks) == len(boundaries) + 1
-    assert sum(map(len, blocks)) == 200
-    assert all(b == sorted(b) for b in blocks)
-    owners = [set(b) for b in blocks]
-    assert sum(map(len, owners)) == len(set().union(*owners))
-    assert all(k >= boundaries[-1] for k in owners[-1])
-
-
 def _sort_each_block(self, key, descending=False, boundaries=None):
     return self.map_batches(lambda b: b.sort_by(key), batch_size=None,
                             batch_format="pyarrow")
