@@ -253,7 +253,7 @@ def q3_top_revenue(sf_dir: str):
     driver-collected fact key set), and the top-10 is a dataset sort+limit."""
     import ray as _ray
 
-    from ..stages.join import native_join
+    from ..stages.join import partitioned_hash_join
 
     cust = pq.read_table(
         os.path.join(sf_dir, "customer.parquet"),
@@ -288,7 +288,11 @@ def q3_top_revenue(sf_dir: str):
         return pa.table({"o_orderkey": t.column("l_orderkey"), "revenue_part": rev})
 
     li = li.map_batches(derive, batch_format="pyarrow")
-    joined = native_join(li, orders, on="o_orderkey", n_partitions=16)
+    joined = partitioned_hash_join(
+        li, orders, on="o_orderkey", n_buckets=16,
+        left_schema=pa.schema([("o_orderkey", pa.int64()),
+                               ("revenue_part", pa.float64())]),
+        right_schema=pa.schema([("o_orderkey", pa.int64())]))
     # Bucketed pre-aggregated sum: Ray's groupby(key) sorts the exchange by
     # the full (high-cardinality) orderkey — measured far slower than a
     # bucket-id exchange (stages/aggregate.bucketed_combine).
@@ -361,7 +365,7 @@ def q4_semi_join(sf_dir: str):
     orders = _read_pq(os.path.join(sf_dir, "orders.parquet"),
                              columns=["o_orderkey", "o_orderpriority"])
 
-    semi = semi_join(orders, big, on="o_orderkey", n_partitions=16)
+    semi = semi_join(orders, big, on="o_orderkey")
 
     # ~5 distinct priorities: per-batch partial counts, tiny final groupby.
     def partial(t: pa.Table) -> pa.Table:
@@ -621,11 +625,12 @@ def q_hash_join_revenue(sf_dir: str):
         os.path.join(sf_dir, "orders.parquet"),
         columns=["o_orderkey", "o_orderpriority"],
     )
-    from ..stages.join import native_join
+    from ..stages.join import partitioned_hash_join
 
-    # native Dataset.join (3-4x the portable partitioned_hash_join here;
-    # equivalence of the two is tested in test_join_windows).
-    joined = native_join(li, orders, on="o_orderkey", n_partitions=16)
+    joined = partitioned_hash_join(
+        li, orders, on="o_orderkey", n_buckets=16,
+        left_schema=pa.schema([("o_orderkey", pa.int64()),
+                               ("rev", pa.float64())]))
 
     # o_orderpriority has ~5 distinct values: a per-batch pyarrow partial
     # shrinks each joined block to 5 rows before the (tiny) final groupby.
@@ -942,7 +947,7 @@ def q_setsim_snapshot(sf_dir: str):
     doc at word-3-gram Jaccard >= 4/5 are dropped (prefix-filter
     completeness guarantee — no qualifying old match is ever missed; the
     key-equality sibling is ``snapshot_dedup``, the probabilistic one
-    MinHash).  Survivors leave via Ray's native left_anti join."""
+    MinHash).  Survivors leave via one bucketed anti-join."""
     from ..stages.dedup import setsim_snapshot_anti_join
 
     docs = _docs(sf_dir, ["doc_id", "text"])
@@ -1452,7 +1457,7 @@ def q10_returned_items(sf_dir: str):
     """TPC-H Q10 shape: revenue of RETURNED items per customer, top 20 —
     returnflag pushed to the scan, one hash join to orders, dimension name
     attached by broadcast lookup after the top-k."""
-    from ..stages.join import native_join
+    from ..stages.join import partitioned_hash_join
 
     li = _read_pq(
         os.path.join(sf_dir, "lineitem.parquet"),
@@ -1475,7 +1480,10 @@ def q10_returned_items(sf_dir: str):
     # Integer-cents scaling before the top-k: rank-stable ordering (see
     # q3_top_revenue).
     per_cust = pre_aggregated_sum(
-        native_join(li, orders, on="o_orderkey", n_partitions=16),
+        partitioned_hash_join(
+            li, orders, on="o_orderkey", n_buckets=16,
+            left_schema=pa.schema([("o_orderkey", pa.int64()),
+                                   ("rev", pa.float64())])),
         "o_custkey", "rev",
     ).map_batches(
         lambda t: t if t.num_columns == 0
@@ -1585,7 +1593,7 @@ def q18_large_orders(sf_dir: str):
     per-batch partial pre-aggregation (combiner) before the orderkey
     shuffle, HAVING filter on the aggregate, one hash join to orders."""
     from ..stages.aggregate import pre_aggregated_sum
-    from ..stages.join import native_join
+    from ..stages.join import partitioned_hash_join
 
     li = _read_pq(os.path.join(sf_dir, "lineitem.parquet"),
                          columns=["l_orderkey", "l_quantity"])
@@ -1601,8 +1609,10 @@ def q18_large_orders(sf_dir: str):
     big = sums.map_batches(having, batch_format="pyarrow")
     orders = _read_pq(os.path.join(sf_dir, "orders.parquet"),
                              columns=["o_orderkey", "o_custkey"])
-    joined = native_join(big, orders, on="o_orderkey", n_partitions=8,
-                         left_from_aggregate=True)
+    joined = partitioned_hash_join(
+        big, orders, on="o_orderkey", n_buckets=8,
+        left_schema=pa.schema([("o_orderkey", pa.int64()),
+                               ("total_qty", pa.float64())]))
     t = pa.Table.from_pandas(joined.sort("o_orderkey").to_pandas(),
                              preserve_index=False)
     return _scale_int(t.select(["o_orderkey", "o_custkey", "total_qty"]),
@@ -2706,7 +2716,7 @@ def q5_local_revenue(sf_dir: str):
     import ray as _ray
 
     from ..stages.aggregate import pre_aggregated_sum
-    from ..stages.join import native_join
+    from ..stages.join import partitioned_hash_join
 
     nation = pq.read_table(os.path.join(sf_dir, "nation.parquet"))
     region = pq.read_table(os.path.join(sf_dir, "region.parquet"))
@@ -2763,7 +2773,12 @@ def q5_local_revenue(sf_dir: str):
             value_set=pa.array(sorted(asia_set), pa.int64())))
 
     l_side = li.map_batches(tag_supp_nation, batch_format="pyarrow")
-    joined = native_join(l_side, o_side, on="o_orderkey", n_partitions=16)
+    joined = partitioned_hash_join(
+        l_side, o_side, on="o_orderkey", n_buckets=16,
+        left_schema=pa.schema([("o_orderkey", pa.int64()),
+                               ("s_nat", pa.int32()), ("rev", pa.float64())]),
+        right_schema=pa.schema([("o_orderkey", pa.int64()),
+                                ("c_nat", pa.int32())]))
 
     nat_keys = pa.array(sorted(names), pa.int64())
     nat_names = pa.array([names[k] for k in sorted(names)], pa.string())
@@ -3221,7 +3236,7 @@ def q9_profit_shape(sf_dir: str):
     import ray as _ray
 
     from ..stages.aggregate import bucketed_fold
-    from ..stages.join import native_join
+    from ..stages.join import partitioned_hash_join
 
     part = pq.read_table(os.path.join(sf_dir, "part.parquet"),
                          columns=["p_partkey", "p_name"])
@@ -3265,9 +3280,14 @@ def q9_profit_shape(sf_dir: str):
                          "o_year": pc.cast(pc.year(t.column("o_orderdate")),
                                            pa.int64())})
 
-    joined = native_join(l_side,
-                         orders.map_batches(years, batch_format="pyarrow"),
-                         on="o_orderkey", n_partitions=16)
+    joined = partitioned_hash_join(
+        l_side, orders.map_batches(years, batch_format="pyarrow"),
+        on="o_orderkey", n_buckets=16,
+        left_schema=pa.schema([("o_orderkey", pa.int64()),
+                               ("nation", pa.string()),
+                               ("amount", pa.float64())]),
+        right_schema=pa.schema([("o_orderkey", pa.int64()),
+                                ("o_year", pa.int64())]))
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby(["nation", "o_year"], sort=False)["amount"] \
@@ -3296,7 +3316,7 @@ def q21_late_suppliers(sf_dir: str):
     import ray as _ray
 
     from ..stages.aggregate import bucketed_fold, pre_aggregated_count
-    from ..stages.join import native_join
+    from ..stages.join import partitioned_hash_join
 
     supp = pq.read_table(os.path.join(sf_dir, "supplier.parquet"),
                          columns=["s_suppkey", "s_name"])
@@ -3319,9 +3339,15 @@ def q21_late_suppliers(sf_dir: str):
                          "order_s": pc.cast(pc.cast(t.column("o_orderdate"),
                                                     pa.date32()), pa.int32())})
 
-    joined = native_join(li.map_batches(li_thin, batch_format="pyarrow"),
-                         orders.map_batches(o_thin, batch_format="pyarrow"),
-                         on="o_orderkey", n_partitions=16)
+    joined = partitioned_hash_join(
+        li.map_batches(li_thin, batch_format="pyarrow"),
+        orders.map_batches(o_thin, batch_format="pyarrow"),
+        on="o_orderkey", n_buckets=16,
+        left_schema=pa.schema([("o_orderkey", pa.int64()),
+                               ("l_suppkey", pa.int64()),
+                               ("ship_s", pa.int32())]),
+        right_schema=pa.schema([("o_orderkey", pa.int64()),
+                                ("order_s", pa.int32())]))
 
     def tag_late(t: pa.Table) -> pa.Table:
         late = pc.greater(pc.subtract(t.column("ship_s"),
@@ -4172,7 +4198,7 @@ def q_bloom_pruned_join(sf_dir: str):
 
     from ..stages.aggregate import pre_aggregated_sum
     from ..stages.dedup import bloom_semi_filter, build_bloom
-    from ..stages.join import native_join
+    from ..stages.join import partitioned_hash_join
 
     supp = _read_pq(
         os.path.join(sf_dir, "supplier.parquet"),
@@ -4200,11 +4226,12 @@ def q_bloom_pruned_join(sf_dir: str):
     pruned = bloom_semi_filter(li.map_batches(rev, batch_format="pyarrow"),
                                "l_suppkey", bloom_ref, m_bits=1 << 16,
                                keep="member")
-    # right_from_aggregate: the filtered dimension read can carry EMPTY
-    # blocks that never reached the rename UDF (map_batches skips empty
-    # input) and so still wear the raw schema — coalesce drops them.
-    joined = native_join(pruned, supp, on="l_suppkey", n_partitions=8,
-                         right_from_aggregate=True)
+    joined = partitioned_hash_join(
+        pruned, supp, on="l_suppkey", n_buckets=8,
+        left_schema=pa.schema([("l_suppkey", pa.int64()),
+                               ("r", pa.float64())]),
+        right_schema=pa.schema([("l_suppkey", pa.int64()),
+                                ("s_name", pa.string())]))
     per_supp = pre_aggregated_sum(
         joined.select_columns(["s_name", "r"]), "s_name", "r", n_buckets=8
     ).map_batches(
@@ -5133,9 +5160,13 @@ def q_key_skew_stats(sf_dir: str):
              "pmax": pc.cast(t.column("n"), pa.int64())}),
         batch_format="pyarrow").groupby("grp").max("pmax")
 
-    from ..stages.join import native_join
-    out = native_join(q, mx, on="grp", n_partitions=2,
-                      left_from_aggregate=True, right_from_aggregate=True)
+    from ..stages.join import partitioned_hash_join
+    out = partitioned_hash_join(
+        q, mx, on="grp", n_buckets=2,
+        left_schema=pa.schema([(c, pa.int64()) for c in
+                               ("grp", "n_rows", "p50", "p90", "p99")]),
+        right_schema=pa.schema([("grp", pa.int64()),
+                                ("max(pmax)", pa.int64())]))
     return out.map_batches(
         lambda t: t if t.num_columns == 0 else pa.table(
             {"n_keys": t.column("n_rows"),

@@ -951,10 +951,14 @@ def profile_columns(ds, columns, n_buckets: int = 32):
                    .astype("int64").reset_index(),
         n_buckets=8)
 
-    from .join import native_join
+    from .join import partitioned_hash_join
 
-    out = native_join(counts, n_distinct, on="col", n_partitions=4,
-                      left_from_aggregate=True, right_from_aggregate=True)
+    out = partitioned_hash_join(
+        counts, n_distinct, on="col", n_buckets=4,
+        left_schema=pa.schema([("col", pa.string()), ("n", pa.int64()),
+                               ("nulls", pa.int64())]),
+        right_schema=pa.schema([("col", pa.string()),
+                                ("n_distinct", pa.int64())]))
 
     def finish(t: pa.Table) -> pa.Table:
         import pyarrow.compute as _pc

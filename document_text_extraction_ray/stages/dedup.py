@@ -338,7 +338,6 @@ def exact_substring_dedup(ds, text_column: str, id_column: str, k: int = 8,
 # ------------------------------------------------------------- MinHash + LSH
 
 def cluster_pairs_distributed(pairs_ds, max_iters: int = 32,
-                              n_partitions: int = 4,
                               local_contract: bool = True):
     """Connected components over the candidate-pair graph, dataset-native:
     iterative min-label propagation PLUS pointer jumping (label <- label of
@@ -377,7 +376,7 @@ def cluster_pairs_distributed(pairs_ds, max_iters: int = 32,
     import ray.data as _rd
     from ray.data.aggregate import Min, Sum
 
-    from .join import native_join
+    from .join import _arrow_schema, partitioned_hash_join
 
     def to_edges(t: pa.Table) -> pa.Table:
         a, b = t.column("id_a"), t.column("id_b")
@@ -441,13 +440,10 @@ def cluster_pairs_distributed(pairs_ds, max_iters: int = 32,
             "node": pa.array([], id_type), "label": pa.array([], id_type),
         }))
 
-    from .join import coalesce_aggregate_blocks
-
-    # Every aggregate output below is coalesced first: Ray's hash aggregate
-    # emits zero-column empty blocks for empty shuffle partitions, which
-    # crash the arrow joins (and map stages never see empty blocks, so they
-    # cannot repair them).  The label table is thin — the extra exchange is
-    # negligible.
+    # Labels are node ids, so every join side below is typed from the
+    # materialized edge table without running its lazy upstream.
+    edge_schema = _arrow_schema(edges)
+    id_type = edge_schema.field("src").type
 
     # Round 1, fused: with identity starting labels, propagation is just
     # min-over-neighbors — one groupby over the symmetrized edges (every
@@ -458,9 +454,7 @@ def cluster_pairs_distributed(pairs_ds, max_iters: int = 32,
         return pa.table({"node": node, "label": lab})
 
     labels = (
-        coalesce_aggregate_blocks(
-            edges.groupby("dst").aggregate(Min("src", alias_name="min_src"))
-        )
+        edges.groupby("dst").aggregate(Min("src", alias_name="min_src"))
         .map_batches(min_with_self, batch_format="pyarrow")
         .materialize()
     )
@@ -470,14 +464,15 @@ def cluster_pairs_distributed(pairs_ds, max_iters: int = 32,
 
     for it in range(max_iters):
         # Propagate: each edge carries its src's label to dst.
-        msgs = native_join(
+        msgs = partitioned_hash_join(
             edges,
             labels.map_batches(
                 lambda t: pa.table({"src": t.column("node"), "label": t.column("label")}),
                 batch_format="pyarrow",
             ),
-            on="src",
-            n_partitions=n_partitions,
+            on="src", n_buckets=4,
+            left_schema=edge_schema, right_schema=pa.schema(
+                [("src", id_type), ("label", id_type)]),
         ).map_batches(
             lambda t: pa.table({"node": t.column("dst"), "label": t.column("label")}),
             batch_format="pyarrow",
@@ -492,7 +487,7 @@ def cluster_pairs_distributed(pairs_ds, max_iters: int = 32,
             # every edge => labels are the per-component minima) — so the
             # common case pays ONE join here, not two.  Long chains still
             # get O(log d) total rounds: jumping kicks in from round 3.
-            jumped = native_join(
+            jumped = partitioned_hash_join(
                 labels.map_batches(
                     lambda t: pa.table({"node": t.column("node"), "mid": t.column("label")}),
                     batch_format="pyarrow",
@@ -501,8 +496,9 @@ def cluster_pairs_distributed(pairs_ds, max_iters: int = 32,
                     lambda t: pa.table({"mid": t.column("node"), "label": t.column("label")}),
                     batch_format="pyarrow",
                 ),
-                on="mid",
-                n_partitions=n_partitions,
+                on="mid", n_buckets=4,
+                left_schema=pa.schema([("node", id_type), ("mid", id_type)]),
+                right_schema=pa.schema([("mid", id_type), ("label", id_type)]),
             ).map_batches(
                 lambda t: t.select(["node", "label"]), batch_format="pyarrow"
             )
@@ -519,14 +515,11 @@ def cluster_pairs_distributed(pairs_ds, max_iters: int = 32,
         )
         with_null_old = lambda t: t.append_column(  # noqa: E731
             "old", pa.nulls(t.num_rows, t.column("label").type))
-        new_labels = coalesce_aggregate_blocks(
-            ident.union(
-                *[s.map_batches(with_null_old, batch_format="pyarrow")
-                  for s in streams]
-            )
-            .groupby("node")
-            .aggregate(Min("label", alias_name="label"),
-                       Min("old", alias_name="old"))
+        new_labels = ident.union(
+            *[s.map_batches(with_null_old, batch_format="pyarrow")
+              for s in streams]
+        ).groupby("node").aggregate(
+            Min("label", alias_name="label"), Min("old", alias_name="old"),
         ).materialize()
         changed = new_labels.map_batches(
             lambda t: pa.table({"c": pa.array(
@@ -835,14 +828,9 @@ def minhash_dedup(
             ds, text_column, id_column, num_perm, bands, shingle_k,
             est_threshold, scale="distributed", dedup_pairs=False,
         )
-        from .join import anti_join, coalesce_aggregate_blocks
+        from .join import anti_join
 
-        # The bucket folds can emit schemaless empty blocks which would
-        # crash the label-propagation joins; the thin-pair repartition
-        # purges them.
-        labels_ds = cluster_pairs_distributed(
-            coalesce_aggregate_blocks(pairs_ds)
-        )
+        labels_ds = cluster_pairs_distributed(pairs_ds)
         n_labeled = labels_ds.count()
         if n_labeled == 0:  # no duplicate clusters: nothing to filter
             return ds, labels_ds
@@ -1001,8 +989,7 @@ def verify_pairs_jaccard(pairs_ds, texts_by_id_ref, n: int = 3,
 
 
 def verify_pairs_jaccard_join(pairs_ds, docs, id_column: str, text_column: str,
-                              n: int = 3, threshold: float = 0.8,
-                              n_partitions: int = 16):
+                              n: int = 3, threshold: float = 0.8):
     """True n-gram Jaccard verification of candidate pairs, scale path.
 
     Never materializes the corpus: each pair is exploded into two thin rows
@@ -1012,7 +999,10 @@ def verify_pairs_jaccard_join(pairs_ds, docs, id_column: str, text_column: str,
     stage would want it — then each (id_a, id_b) group (exactly two rows)
     computes the true word-n-gram Jaccard.  Same predicate and output as the
     broadcast ``verify_pairs_jaccard`` (equivalence-tested)."""
-    from .join import native_join
+    from .join import _arrow_schema, partitioned_hash_join
+
+    doc_schema = _arrow_schema(docs.select_columns([id_column, text_column]))
+    id_type = doc_schema.field(id_column).type
 
     def explode(t: pa.Table) -> pa.Table:
         a = t.column("id_a").combine_chunks()
@@ -1033,11 +1023,12 @@ def verify_pairs_jaccard_join(pairs_ds, docs, id_column: str, text_column: str,
                             "text": t.column(text_column)}),
         batch_format="pyarrow",
     )
-    # left_from_aggregate: candidate-pair sources (groupby outputs, bucket
-    # folds) can carry zero-column empty blocks that crash the arrow join;
-    # the pair rows are thin, so the coalesce is cheap.
-    joined = native_join(exploded, texts, on="key", n_partitions=n_partitions,
-                         left_from_aggregate=True)
+    joined = partitioned_hash_join(
+        exploded, texts, on="key", n_buckets=16,
+        left_schema=pa.schema([("id_a", id_type), ("id_b", id_type),
+                               ("key", id_type)]),
+        right_schema=pa.schema([("key", id_type),
+                                ("text", doc_schema.field(text_column).type)]))
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         # Exactly two rows per pair (key == id_a and key == id_b).
@@ -1225,8 +1216,7 @@ def edit_distance_join(ds, text_column: str, id_column: str,
 # --------------------------------- prefix-filter set-similarity join (PPJoin)
 
 def setsim_prefix_join(ds, text_column: str, id_column: str, n: int = 3,
-                       threshold=(4, 5), n_buckets: int = 32,
-                       n_partitions: int = 16):
+                       threshold=(4, 5), n_buckets: int = 32):
     """EXACT Jaccard-threshold self-join over word n-gram SETS via prefix
     filtering with the positional filter (Chaudhuri et al. SSJoin; Xiao et
     al. PPJoin) — the exact-output companion to the MinHash family: every
@@ -1357,7 +1347,7 @@ def setsim_prefix_join(ds, text_column: str, id_column: str, n: int = 3,
     deduped = ray.data.from_arrow(empty_pairs).union(raw)
 
     # ---- verification: attach each member's sorted hash array, intersect
-    from .join import native_join
+    from .join import partitioned_hash_join
 
     def member_explode(t: pa.Table) -> pa.Table:
         a = t.column("id_a").combine_chunks()
@@ -1386,8 +1376,12 @@ def setsim_prefix_join(ds, text_column: str, id_column: str, n: int = 3,
         member_explode, batch_format="pyarrow")
     sets_tbl = ds.select_columns([id_column, text_column]).map_batches(
         hash_sets, batch_format="pyarrow")
-    joined = native_join(exploded_pairs, sets_tbl, on="key",
-                         n_partitions=n_partitions, left_from_aggregate=True)
+    joined = partitioned_hash_join(
+        exploded_pairs, sets_tbl, on="key", n_buckets=n_buckets,
+        left_schema=pa.schema([("id_a", id_type), ("id_b", id_type),
+                               ("key", id_type)]),
+        right_schema=pa.schema([("key", id_type),
+                                ("hs", pa.large_binary())]))
 
     empty_out = pa.table({
         "id_a": pa.array([], id_type),
@@ -1449,7 +1443,7 @@ def _setsim_doc_hashes(text, n: int):
 
 def setsim_snapshot_anti_join(new_ds, old_ds, text_column: str,
                               id_column: str, n: int = 3, threshold=(4, 5),
-                              n_buckets: int = 32, n_partitions: int = 16):
+                              n_buckets: int = 32):
     """Cross-snapshot NEAR-dup anti-join, exact: keep the NEW rows that
     have no OLD document within word-n-gram-set Jaccard >= ``threshold``
     — incremental crawl near-dedup with the prefix-filter guarantee (no
@@ -1467,7 +1461,7 @@ def setsim_snapshot_anti_join(new_ds, old_ds, text_column: str,
     num, den = threshold
 
     from .aggregate import bucketed_fold
-    from .join import _arrow_schema, native_join
+    from .join import _arrow_schema, anti_join, partitioned_hash_join
 
     id_type = _arrow_schema(
         new_ds.select_columns([id_column])).field(id_column).type
@@ -1585,8 +1579,12 @@ def setsim_snapshot_anti_join(new_ds, old_ds, text_column: str,
         hash_sets("n"), batch_format="pyarrow").union(
         old_ds.select_columns([id_column, text_column]).map_batches(
             hash_sets("o"), batch_format="pyarrow"))
-    joined = native_join(exploded_pairs, sets_tbl, on="key",
-                         n_partitions=n_partitions, left_from_aggregate=True)
+    joined = partitioned_hash_join(
+        exploded_pairs, sets_tbl, on="key", n_buckets=n_buckets,
+        left_schema=pa.schema([("new_id", id_type), ("old_id", id_type),
+                               ("key", pa.string())]),
+        right_schema=pa.schema([("key", pa.string()),
+                                ("hs", pa.large_binary())]))
 
     empty_matched = pa.table({"new_id": pa.array([], id_type)}).to_pandas()
 
@@ -1615,8 +1613,8 @@ def setsim_snapshot_anti_join(new_ds, old_ds, text_column: str,
 
     matched = bucketed_fold(joined, ["new_id", "old_id"], verify_bucket,
                             n_buckets=n_buckets)
-    # A new doc matching several old docs appears several times — left_anti
-    # excludes on ANY right match, so no dedup exchange is needed.
+    # A new doc matching several old docs appears several times — the
+    # anti-join excludes on ANY right match, so no dedup exchange is needed.
     matched_ids = ray.data.from_arrow(
         pa.table({"new_id": pa.array([], id_type)})).union(matched) \
         .map_batches(
@@ -1624,11 +1622,9 @@ def setsim_snapshot_anti_join(new_ds, old_ds, text_column: str,
             else pa.table({id_column: t.column("new_id")}),
             batch_format="pyarrow")
 
-    # Ray's native left_anti join IS the survivor filter — one exchange,
-    # no marker column, no driver collection.
-    return native_join(new_ds, matched_ids, on=id_column,
-                       n_partitions=n_partitions, how="left_anti",
-                       right_from_aggregate=True)
+    # The bucketed anti-join IS the survivor filter — one exchange, no
+    # marker column, no driver collection.
+    return anti_join(new_ds, matched_ids, on=id_column, n_buckets=n_buckets)
 
 
 

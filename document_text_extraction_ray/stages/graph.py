@@ -55,7 +55,7 @@ def pagerank_int(edges, n_iters: int = 3, damping_pct: int = 85,
     synthesize self-loops upstream if the graph has sinks); nodes with no
     in-edges receive teleport only (seeds only, under TrustRank)."""
     from .aggregate import bucketed_fold, pre_aggregated_count
-    from .join import attach_column, coalesce_aggregate_blocks
+    from .join import attach_column
 
     # The edge list is consumed by the degree count AND every iteration's
     # attach join — a lazy lineage would re-run its upstream (read + edge
@@ -66,7 +66,8 @@ def pagerank_int(edges, n_iters: int = 3, damping_pct: int = 85,
     # Node table + out-degrees (node-bounded, reused every iteration).
     deg = pre_aggregated_count(edges, src_col, alias="out_deg",
                                n_buckets=n_buckets)
-    deg = coalesce_aggregate_blocks(deg, 4).materialize()
+    # Defragment: every iteration joins against this node table.
+    deg = deg.repartition(4).materialize()
     n_nodes = deg.count()
     seed_arr = None
     if seeds is None:
@@ -229,7 +230,7 @@ def hits_int(edges, n_iters: int = 2, src_col: str = "src",
     exchange — one fewer pipeline execution per half step (measured
     9.8 s -> ~7 s at sf0.01, all fixed per-execution overhead)."""
     from .aggregate import pre_aggregated_sum
-    from .join import attach_column, coalesce_aggregate_blocks
+    from .join import attach_column
 
     if n_iters < 1:
         raise ValueError("hits_int needs n_iters >= 1")
@@ -272,10 +273,11 @@ def hits_int(edges, n_iters: int = 2, src_col: str = "src",
                 n_buckets=n_buckets)
         raw = pre_aggregated_sum(ej, group_on, "__score",
                                  n_buckets=n_buckets)
-        raw = coalesce_aggregate_blocks(raw.map_batches(
+        # Defragment: the next half step joins against this node table.
+        raw = raw.map_batches(
             lambda t: t if t.num_columns == 0 else pa.table(
                 {"node": t.column(group_on), "raw": t.column("sum___score")}),
-            batch_format="pyarrow"), 4).materialize()
+            batch_format="pyarrow").repartition(4).materialize()
         return raw, raw.sum("raw")
 
     araw = atot = None
@@ -586,15 +588,14 @@ def degree_assortativity_sums(edges, src_col: str = "src",
     sum partial + single-row fold.  Returns one row
     (n_edges, s_du, s_dv, s_dudv, s_du2, s_dv2)."""
     from .aggregate import pre_aggregated_count
-    from .join import coalesce_aggregate_blocks, partitioned_hash_join
+    from .join import partitioned_hash_join
 
     e = materialize_compact(edges.select_columns([src_col, dst_col]))
-    outd = coalesce_aggregate_blocks(
-        pre_aggregated_count(e, src_col, alias="du",
-                             n_buckets=n_buckets), 4)
-    ind = coalesce_aggregate_blocks(
-        pre_aggregated_count(e, dst_col, alias="dv",
-                             n_buckets=n_buckets), 4)
+    # Defragment: each degree table is joined onto every edge.
+    outd = pre_aggregated_count(e, src_col, alias="du",
+                                n_buckets=n_buckets).repartition(4)
+    ind = pre_aggregated_count(e, dst_col, alias="dv",
+                               n_buckets=n_buckets).repartition(4)
 
     es = pa.schema([(src_col, pa.int64()), (dst_col, pa.int64())])
     os_ = pa.schema([(src_col, pa.int64()), ("du", pa.int64())])

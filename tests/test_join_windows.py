@@ -174,26 +174,6 @@ def test_streaming_open_sessions_introspection():
     _ray.kill(actor)
 
 
-def test_native_join_matches_portable():
-    import pandas as pd
-
-    from document_text_extraction_ray.stages.join import (
-        native_join,
-        partitioned_hash_join,
-    )
-
-    left, right = _sides()
-    a = (
-        native_join(left, right, on="k", n_partitions=4)
-        .to_pandas().sort_values(["k", "lval"]).reset_index(drop=True)
-    )
-    b = (
-        partitioned_hash_join(left, right, on="k", n_buckets=4)
-        .to_pandas().sort_values(["k", "lval"]).reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(a[sorted(a.columns)], b[sorted(b.columns)])
-
-
 def test_hash_join_randomized_vs_pandas():
     """Seeded random frames: partitioned_hash_join == pandas merge."""
     import pandas as pd
@@ -413,6 +393,29 @@ def test_anti_join_empty_right():
     removed = rd.from_arrow(pa.table({"id": pa.array([], pa.int64())}))
     out = anti_join(left, removed, on="id").to_pandas()
     assert sorted(out["id"]) == [1, 2]
+
+
+def test_anti_join_keeps_left_int_columns_at_one_range(monkeypatch):
+    """At one range (R = 1) the right side's empty pandas aggregate blocks
+    turn the sort reduce to pandas, where the right's typed-null padding
+    makes the left's int64 columns float64; the result keeps the left
+    schema."""
+    import pyarrow as pa
+    import ray
+    import ray.data as rd
+    from ray.data.aggregate import Count
+
+    from document_text_extraction_ray.stages.join import anti_join
+
+    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 1})
+    left = rd.from_arrow(pa.table({"id": pa.array([1, 2, 3, 4], pa.int64()),
+                                   "w": pa.array([10, 20, 30, 40], pa.int64())}))
+    removed = rd.from_pandas([pd.DataFrame({"id": [2]}),
+                              pd.DataFrame({"id": [4]})]) \
+        .groupby("id").aggregate(Count())
+    out = anti_join(left, removed, on="id").to_pandas()
+    assert sorted(out["id"]) == [1, 3]
+    assert out["w"].dtype == np.int64
 
 
 def test_merge_intervals_islands(ray_session):

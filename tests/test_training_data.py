@@ -147,3 +147,52 @@ def test_prepare_training_data_substring_dedup_gate():
     assert df.loc["https://a/2", "extracted_text"].split()[:4] == \
         ["totally", "different", "opening", "words"]
     assert "lazy" not in df.loc["https://a/2", "extracted_text"]
+
+
+_NEAR_DEDUP_ONE_CPU = """
+import json
+import pyarrow as pa
+import ray
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR")
+from ray.data import DataContext
+DataContext.get_current().enable_progress_bars = False
+from document_text_extraction_ray.pipelines.training_data import (
+    prepare_training_data)
+from document_text_extraction_ray.sources.corpus import synth_corpus_table
+
+pages = synth_corpus_table(40, seed=42, include_golden=False)
+# Near-duplicates of three pages: one short paragraph added to each
+# article, so exact dedup keeps them and MinHash must pair them.
+copies = pages.slice(0, 3)
+copies = copies.set_column(0, "url", pa.array(
+    [u + "?copy" for u in copies.column("url").to_pylist()], pa.string()))
+copies = copies.set_column(2, "html", pa.array(
+    [h.replace(b"</article>", b"<p>one short closing note</p></article>", 1)
+     for h in copies.column("html").to_pylist()], pa.large_binary()))
+corpus = ray.data.from_arrow(pa.concat_tables([pages, copies]))
+out, report = prepare_training_data(corpus, min_chars=40, min_score=0.0,
+                                    langs=("en", "und"))
+print(json.dumps({"rows": out.count(), **report}))
+ray.shutdown()
+"""
+
+
+def test_prepare_training_data_near_dedup_at_one_cpu():
+    """The default near-dedup plan finishes on a one-CPU Ray cluster: its
+    joins run on the bucket exchange, not on Ray's hash-shuffle join,
+    whose aggregator actors never finish at ``num_cpus=1``."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    r = subprocess.run(
+        [sys.executable, "-c", _NEAR_DEDUP_ONE_CPU],
+        capture_output=True, text=True, check=True, timeout=180, cwd=root,
+        env={**os.environ, "PYTHONPATH": root},
+    )
+    d = json.loads(r.stdout.strip().splitlines()[-1])
+    # 43 pages in; the three copies are removed, each pair labels 2 nodes.
+    assert d == {"rows": 40, "near_dup_cluster_ids": 6}
