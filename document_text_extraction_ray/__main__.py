@@ -61,11 +61,10 @@ def cmd_synth(args):
 
 def cmd_dedup(args):
     ray = _init_ray(args.num_cpus)
-    import ray.data as rd
-
+    from .sources.corpus import read_corpus
     from .stages.dedup import minhash_dedup
 
-    ds = rd.read_parquet(args.input, columns=[args.id_col, args.text_col])
+    ds = read_corpus(args.input, columns=[args.id_col, args.text_col])
     kept, labels = minhash_dedup(ds, args.text_col, args.id_col)
     n_kept = kept.count()
     # scale="distributed" (the default) returns labels AS A DATASET;

@@ -19,9 +19,16 @@ Two resumable jobs, two partitioning strategies:
 
 No stage materializes the dataset; the streaming executor pipelines read,
 extraction and write with backpressure, and the whole chain FUSES into one
-read->extract->write operator per block.  Giant-HTML-payload corpora are
-defused at the READ with ``target_block_mb`` so one giant row cannot blow a
-worker heap (SURVEY.md §7.5 item 2).
+read->extract->write operator per block.  The sharded job reads its
+input through ``sources.corpus.read_corpus``; the bucketed job takes a
+Dataset, which its callers build with it.  ``read_corpus`` runs the read
+in one task per Ray CPU when there are at least that many files and they
+hold no more than one block target each, so the read runs in one wave of
+fused tasks instead of Ray's plan of several small ones per CPU; otherwise
+Ray's plan stands.  Giant-HTML-payload corpora are defused with
+``target_block_mb``: once the input passes that block target per file,
+Ray's plan splits files into blocks of that size, so one giant row cannot
+blow a worker heap (SURVEY.md §7.5 item 2).
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ import os
 import ray.data
 
 from ..functions.html_extract import DEFAULT_CONFIG, ExtractConfig
+from ..sources.corpus import read_corpus
 from ..stages.extract import EXTRACTOR_VERSION, extract_batch
 from ..state import checkpoint as ckpt
 
@@ -108,14 +116,19 @@ def run_sharded_extraction_job(
     the partition stays uncommitted, so a rerun retries exactly it.  Default
     False: fail fast (committed partitions are still resumable).
 
-    ``target_block_mb``: payload-skew defusal.  Giant-page corpora (multi-MB
-    html rows) packed into large row groups land in one ~128 MB block and
-    pin one extract task while the cluster idles; a smaller target block
-    (e.g. 8) makes the read emit fine-grained blocks so giant rows spread
-    across tasks (measured 30.6 s -> 20.6 s on a 20x5.6 MB-row skew
-    corpus).  Leaves the global DataContext as it found it — but the
-    override mutates the PROCESS-GLOBAL DataContext for the guarded
-    region's duration, so it assumes ONE extraction job per driver
+    Each partition is read by ``read_corpus``: one fused
+    read->extract->write task per Ray CPU when the partition has at least
+    that many files and holds at most one ``DataContext.target_max_block_size``
+    per file; Ray's own plan (which may split files) otherwise.
+
+    ``target_block_mb``: payload-skew defusal.  It sets that block target
+    for the job, so a smaller one (e.g. 8) hands a partition of giant-page
+    files (multi-MB html rows) to Ray's plan, which emits blocks of that
+    size and spreads the giant rows across tasks instead of letting one
+    task hold them while the cluster idles (measured 30.6 s -> 20.6 s on a
+    20x5.6 MB-row skew corpus).  Leaves the global DataContext as it found
+    it — but the override mutates the PROCESS-GLOBAL DataContext for the
+    guarded region's duration, so it assumes ONE extraction job per driver
     process: a second concurrent ``run_sharded_extraction_job`` (or any
     other Ray Data work on the same driver) would race on the override,
     and the finally-restore can clobber the other caller's setting.  Run
@@ -146,11 +159,8 @@ def run_sharded_extraction_job(
         pid, chunk = pid_chunk
         staged = os.path.join(out_dir, ckpt.STAGING_DIR, run_id, f"part={pid}")
         os.makedirs(staged, exist_ok=True)
-        # No block-count override: Ray's split heuristic keeps the chain
-        # FUSED into one read->extract->write operator (an override inserts
-        # SplitBlocks and unfuses; measured slower at 16 and 32 cpus).
         ds = extract_dataset(
-            ray.data.read_parquet(chunk),
+            read_corpus(chunk),
             n_buckets=n_buckets, with_fields=with_fields,
         )
         ds.write_parquet(staged)

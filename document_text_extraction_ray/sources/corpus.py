@@ -15,13 +15,76 @@ import pyarrow.parquet as pq
 import ray.data
 
 from .. import schema as S
+from ..util import ray_cpus
 from .synth import EPOCH_US, synth_page
 
 
-def read_corpus(path: str, columns=None) -> ray.data.Dataset:
-    """Read a corpus Parquet table, pruning columns at the read
-    (never load `html` for a stage that only needs `text`)."""
-    return ray.data.read_parquet(path, columns=columns)
+def _parquet_files(paths) -> list | None:
+    """The files a Parquet read of ``paths`` (a directory, a file or a list
+    of them) opens, skipping names that start with ``.`` or ``_`` as
+    pyarrow's discovery does; None when a path is not a local file or
+    directory (a URI, a glob, a missing path)."""
+    files = []
+    for path in [paths] if isinstance(paths, str) else paths:
+        if os.path.isfile(path):
+            files.append(path)
+        elif os.path.isdir(path):
+            for root, dirs, names in os.walk(path):
+                dirs[:] = [d for d in dirs if not d.startswith((".", "_"))]
+                files += [os.path.join(root, n) for n in names
+                          if not n.startswith((".", "_"))]
+        else:
+            return None
+    return files
+
+
+def _read_tasks(paths) -> int | None:
+    """The read-task count ``read_corpus`` asks Ray for, or None for Ray's
+    own plan: one task per Ray CPU when there are at least that many input
+    files and they decode to no more than Ray's block target
+    (``DataContext.target_max_block_size``) per file on average.
+
+    Then no task reads part of a file, so Ray inserts no ``SplitBlocks`` and
+    the read fuses with the maps after it, in one wave of tasks; Ray's plan
+    (aim at 200 blocks but none under 1 MiB, and at least two per CPU)
+    would cut a small corpus into several tasks per CPU, each paying Ray's
+    per-task cost.  Ray keeps its plan when there are fewer files than CPUs
+    (only its split of a file can use every CPU then), when the input
+    passes one block target per file (its split keeps giant rows apart; a
+    smaller target, the sharded job's ``target_block_mb``, reaches this
+    sooner), when a path cannot be listed, or when no Ray session is up."""
+    if not ray.is_initialized():
+        return None
+    files = _parquet_files(paths)
+    cpus = ray_cpus()
+    if files is None or len(files) < cpus:
+        return None
+    target = ray.data.DataContext.get_current().target_max_block_size
+    if target and _uncompressed_bytes(files) > len(files) * target:
+        return None
+    return cpus
+
+
+def _uncompressed_bytes(files) -> int:
+    """The decoded size of ``files``' row groups, from their Parquet
+    footers: the size the read's blocks hold and Ray's block target is
+    measured against, which compression hides on disk."""
+    total = 0
+    for f in files:
+        md = pq.read_metadata(f)
+        total += sum(md.row_group(i).total_byte_size
+                     for i in range(md.num_row_groups))
+    return total
+
+
+def read_corpus(paths, columns=None) -> ray.data.Dataset:
+    """Read Parquet from a directory, a file or a list of files in
+    ``_read_tasks(paths)`` tasks, pruning columns at the read (never load
+    `html` for a stage that only needs `text`).  The one sized reader of
+    the extraction path: the jobs, the committed-table read and the CLI
+    all read through it."""
+    return ray.data.read_parquet(paths, columns=columns,
+                                 override_num_blocks=_read_tasks(paths))
 
 
 def _rows_to_corpus_table(rows, include_golden: bool) -> pa.Table:

@@ -8,13 +8,13 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..util import ray_cpus
+
 
 def range_boundaries(n_buckets: int) -> list:
     """Sort boundaries splitting the bucket domain ``[0, n_buckets)`` into
     R = min(n_buckets, Ray CPU count) contiguous ranges."""
-    import ray
-
-    r = max(1, min(n_buckets, int(ray.cluster_resources().get("CPU", 1))))
+    r = max(1, min(n_buckets, ray_cpus()))
     if r == 1:
         return [n_buckets]  # an empty list would make Ray sample instead
     return [i * n_buckets // r for i in range(1, r)]

@@ -150,6 +150,16 @@ def _typed_empty(names, arrow_types: dict) -> pd.DataFrame:
     return pd.DataFrame(cols)
 
 
+def _int_casts(df: pd.DataFrame, dtypes: dict) -> dict:
+    """``astype`` map restoring the int columns ``dtypes`` names in ``df``:
+    the numpy int dtype, or pandas' nullable int of the same width (Arrow:
+    the same int type with nulls) for a column that holds a real null."""
+    return {
+        k: pd.array(np.empty(0, v)).dtype if df[k].isna().any() else v
+        for k, v in dtypes.items() if k in df.columns
+    }
+
+
 def partitioned_hash_join(
     left,
     right,
@@ -224,7 +234,7 @@ def partitioned_hash_join(
                  if renamed_right[c] not in on_cols]
     out_names = left_cols + right_out
     # Null padding promotes int columns to float in pandas; once a side's own
-    # rows are isolated its columns are non-null again — cast back.
+    # rows are isolated, cast them back (``_int_casts``).
     left_dtypes = {
         f.name: f.type.to_pandas_dtype() for f in left_schema
         if pa.types.is_integer(f.type)
@@ -247,15 +257,11 @@ def partitioned_hash_join(
         rhs = rhs[rhs_keyed]
         if how == "inner":
             lhs = lhs[lhs[on_cols].notna().all(axis=1)]
-        lhs_casts = {
-            k: v for k, v in left_dtypes.items()
+        lhs = lhs.astype({
+            k: v for k, v in _int_casts(lhs, left_dtypes).items()
             if not (k in on_cols and lhs[k].isna().any())
-        }
-        lhs = lhs.astype(lhs_casts)
-        rhs = rhs.astype(
-            {k: v for k, v in right_dtypes.items()
-             if k in on_cols or k in right_out}
-        )
+        })
+        rhs = rhs.astype(_int_casts(rhs, right_dtypes))
         if lhs.empty and (rhs.empty or how != "outer"):
             return _typed_empty(out_names, all_fields)
         if rhs.empty and how == "inner":

@@ -257,15 +257,16 @@ def read_committed_table(out_dir: str, columns=None):
 
 
 def read_committed_dataset(out_dir: str, columns=None):
-    """Ray Dataset over the committed files (manifest-driven, resumable read).
+    """Ray Dataset over the committed files (manifest-driven, resumable
+    read), sized by ``read_corpus``.
 
     Unlike ``pq.read_table``, Ray's reader does not hive-infer partition
     columns from the ``bucket=K`` paths by default (and passing
     ``partitioning=None`` trips a Ray 2.49 UnboundLocalError), so no
     override is needed here."""
-    import ray.data
+    from ..sources.corpus import read_corpus
 
-    return ray.data.read_parquet(committed_files(out_dir), columns=columns)
+    return read_corpus(committed_files(out_dir), columns=columns)
 
 
 def read_manifests(out_dir: str) -> list:

@@ -31,6 +31,15 @@ def stabilize_fsspec_http() -> None:
     sys.modules["fsspec.implementations.http"] = mod
 
 
+def ray_cpus() -> int:
+    """The CPU count of the Ray cluster this process is connected to (at
+    least 1): what the known-domain exchange splits its ranges by and what
+    ``sources.corpus.read_corpus`` sizes its read tasks by."""
+    import ray
+
+    return max(1, int(ray.cluster_resources().get("CPU", 1)))
+
+
 def pool_size(requested: int | None = None, headroom: int = 2) -> int:
     """Clamp an actor-pool size so it can never reserve every cluster CPU.
 
@@ -39,7 +48,7 @@ def pool_size(requested: int | None = None, headroom: int = 2) -> int:
     leave ``headroom`` CPUs for the stateless stages."""
     import ray
 
-    total = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
+    total = ray_cpus() if ray.is_initialized() else 4
     cap = max(1, total - headroom)
     if requested is None:
         return cap

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pandas as pd
+import pytest
 
 
 def test_attach_column_preserves_nested_columns():
@@ -194,6 +195,37 @@ def test_full_outer_join_null_keys_never_match():
     assert list(matched["a"]) == [10]
     assert out["a"].isna().sum() == 1  # right null-key row, left side null
     assert out["b"].isna().sum() == 1  # left null-key row, right side null
+
+
+@pytest.mark.parametrize("cpus", [
+    1,
+    pytest.param(4, marks=pytest.mark.xfail(strict=True, reason=(
+        "the pandas fold's block whose v is all null reaches Arrow as the "
+        "null type (CHANGES.md FOUND on partitioned_hash_join)"))),
+])
+def test_hash_join_keeps_null_in_int_column(monkeypatch, cpus):
+    """A real null in a non-key int column comes out of the join as a null
+    of the same int type, whether the exchange runs one range (1 CPU) or
+    four.  At four, k=2's bucket holds only the null: the values survive
+    Ray's schema unification, but that block's ``v`` is Arrow's null type."""
+    import pyarrow as pa
+    import ray
+    import ray.data as rd
+
+    from document_text_extraction_ray.stages.join import partitioned_hash_join
+
+    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": cpus})
+    left = rd.from_arrow(pa.table({"k": pa.array([1, 2], pa.int64()),
+                                   "v": pa.array([5, None], pa.int64())}))
+    right = rd.from_arrow(pa.table({"k": pa.array([1, 2], pa.int64()),
+                                    "w": pa.array([7, 8], pa.int64())}))
+    out = partitioned_hash_join(left, right, on="k")
+    blocks = [t for t in ray.get(out.to_arrow_refs()) if t.num_rows]
+    got = pa.concat_tables(blocks, promote_options="default").sort_by("k")
+    assert got.select(["k", "v", "w"]).to_pylist() == [
+        {"k": 1, "v": 5, "w": 7}, {"k": 2, "v": None, "w": 8}]
+    assert [t.schema.field("v").type for t in blocks] == \
+        [pa.int64()] * len(blocks)
 
 
 def test_sample_per_group_deterministic_uniform():

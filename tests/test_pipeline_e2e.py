@@ -18,6 +18,7 @@ from document_text_extraction_ray.pipelines.extract_pipeline import (
     run_sharded_extraction_job,
     status_summary,
 )
+from document_text_extraction_ray.sources import corpus
 from document_text_extraction_ray.sources.corpus import (
     corpus_from_documents,
     read_corpus,
@@ -66,20 +67,90 @@ def test_extracted_schema_declared(golden):
     assert ds.schema().base_schema.equals(S.EXTRACTED_SCHEMA)
 
 
-def test_extract_fuses_with_read(tmp_path):
-    """The extraction map runs in the read's tasks (no batch_size boundary)."""
-    # Two files per CPU: Ray's read then needs no SplitBlocks, which would
-    # not fuse either.
-    n_files = 2 * int(ray.cluster_resources()["CPU"])
+def _n_file_corpus(tmp_path, n_files, n=80):
     corpus_dir = str(tmp_path / "c")
-    synth_corpus_dataset(40, seed=42).repartition(n_files).write_parquet(corpus_dir)
-    files = sorted(glob.glob(os.path.join(corpus_dir, "*.parquet")))
-    ds = extract_dataset(ray.data.read_parquet(files)).materialize()
-    ops = [o["operator"] for o in explain_stats(ds)]
-    assert len(ops) == 1, ops
-    assert ops[0].startswith("ReadParquet->")
-    assert ops[0].endswith("->MapBatches(extract_batch)")
-    assert ds.count() == 40
+    synth_corpus_dataset(n, seed=42).repartition(n_files).write_parquet(
+        corpus_dir)
+    return corpus_dir, sorted(glob.glob(os.path.join(corpus_dir, "*.parquet")))
+
+
+def _plan(ds):
+    """(operator, tasks) of each operator of an executed ``ds``."""
+    return [(o["operator"], o["tasks"])
+            for o in explain_stats(extract_dataset(ds).materialize())]
+
+
+def test_extract_fuses_with_read(tmp_path):
+    """The extraction map runs in the read's tasks (no batch_size boundary),
+    and ``read_corpus`` runs one such task per Ray CPU: 8 files at 4 CPUs
+    give 4 tasks."""
+    corpus_dir, _ = _n_file_corpus(tmp_path, 8)
+    ((op, tasks),) = _plan(read_corpus(corpus_dir))
+    assert op.startswith("ReadParquet->")
+    assert op.endswith("->MapBatches(extract_batch)")
+    assert tasks == 4
+
+
+def test_read_corpus_fewer_files_than_cpus_keeps_ray_plan(tmp_path):
+    corpus_dir, _ = _n_file_corpus(tmp_path, 2)
+    assert corpus._read_tasks(corpus_dir) is None
+    assert _plan(read_corpus(corpus_dir)) == \
+        _plan(ray.data.read_parquet(corpus_dir))
+
+
+def test_read_corpus_one_cpu_one_task(tmp_path, monkeypatch):
+    corpus_dir, _ = _n_file_corpus(tmp_path, 8)
+    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 1})
+    ((_, tasks),) = _plan(read_corpus(corpus_dir))
+    assert tasks == 1
+
+
+def test_read_corpus_past_block_target_keeps_ray_plan(tmp_path, monkeypatch):
+    """Input that decodes to more than one block target per file goes to
+    Ray's plan, which splits the files (the ``target_block_mb`` skew
+    defence), so a smaller target raises the task count.  The decoded size
+    counts, not the compressed bytes on disk."""
+    corpus_dir, files = _n_file_corpus(tmp_path, 8)
+    target = corpus._uncompressed_bytes(files) // 8 - 8
+    assert sum(os.path.getsize(f) for f in files) <= 8 * target
+    ctx = ray.data.DataContext.get_current()
+    monkeypatch.setattr(ctx, "target_max_block_size", target)
+    assert corpus._read_tasks(corpus_dir) is None
+    plan = _plan(read_corpus(corpus_dir))
+    assert plan == _plan(ray.data.read_parquet(corpus_dir))
+    assert sum(tasks for _, tasks in plan) > 4
+
+
+def test_read_corpus_list_directory_or_file(tmp_path):
+    corpus_dir, files = _n_file_corpus(tmp_path, 8)
+    assert read_corpus(corpus_dir, columns=["url"]).count() == 80
+    assert read_corpus(files[:5], columns=["url"]).count() == \
+        sum(pq.read_metadata(f).num_rows for f in files[:5])
+    assert read_corpus(files[0]).columns() == \
+        ["url", "warc_ts", "html", "text", "lang"]
+    assert corpus._read_tasks(files[:5]) == 4
+    assert corpus._read_tasks(files[0]) is None       # 1 file, 4 CPUs
+    assert corpus._read_tasks(str(tmp_path / "missing")) is None
+
+
+@pytest.mark.parametrize("sharded", [False, True])
+def test_sized_read_jobs_match_golden(tmp_path, golden, sharded):
+    """Both jobs over an 8-file corpus, read in 4 sized tasks, commit the
+    golden text of every url."""
+    corpus_dir = str(tmp_path / "c")
+    synth_corpus_dataset(N, seed=42).repartition(8).write_parquet(corpus_dir)
+    out_dir = str(tmp_path / "out")
+    if sharded:
+        run_sharded_extraction_job(corpus_dir, out_dir, run_id="r1",
+                                   with_fields=False)
+    else:
+        run_extraction_job(read_corpus(corpus_dir), out_dir, run_id="r1",
+                           input_path=corpus_dir, n_buckets=8,
+                           with_fields=False)
+    t = ckpt.read_committed_table(out_dir, columns=["url", "extracted_text"])
+    got = dict(zip(t.column("url").to_pylist(),
+                   t.column("extracted_text").to_pylist()))
+    assert got == {u: g[0] for u, g in golden.items()}
 
 
 def test_poison_row_yields_error_status():
@@ -293,18 +364,18 @@ def test_cli_surface(tmp_path):
     """The __main__ CLI: synth is importable-level tested via its functions;
     here just the argument wiring + summary on an existing output dir."""
     import json
-    import subprocess
     import sys
+
+    from child import run_child
 
     corpus_dir = str(tmp_path / "c")
     synth_corpus_dataset(60, seed=42).repartition(2).write_parquet(corpus_dir)
     out_dir = str(tmp_path / "o")
     run_sharded_extraction_job(corpus_dir, out_dir, run_id="r1",
                                files_per_partition=2, with_fields=False)
-    r = subprocess.run(
+    r = run_child(
         [sys.executable, "-m", "document_text_extraction_ray", "summary",
-         "--out", out_dir],
-        capture_output=True, text=True, check=True,
+         "--out", out_dir], timeout=120,
         cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     )
     d = json.loads(r.stdout.strip().splitlines()[-1])

@@ -184,13 +184,13 @@ def test_prepare_training_data_near_dedup_at_one_cpu():
     whose aggregator actors never finish at ``num_cpus=1``."""
     import json
     import os
-    import subprocess
     import sys
 
+    from child import run_child
+
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    r = subprocess.run(
-        [sys.executable, "-c", _NEAR_DEDUP_ONE_CPU],
-        capture_output=True, text=True, check=True, timeout=180, cwd=root,
+    r = run_child(
+        [sys.executable, "-c", _NEAR_DEDUP_ONE_CPU], timeout=180, cwd=root,
         env={**os.environ, "PYTHONPATH": root},
     )
     d = json.loads(r.stdout.strip().splitlines()[-1])
