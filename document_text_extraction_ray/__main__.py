@@ -66,11 +66,7 @@ def cmd_dedup(args):
 
     ds = read_corpus(args.input, columns=[args.id_col, args.text_col])
     kept, labels = minhash_dedup(ds, args.text_col, args.id_col)
-    n_kept = kept.count()
-    # scale="distributed" (the default) returns labels AS A DATASET;
-    # scale="driver" returns a dict — count either.
-    n_labeled = labels.count() if hasattr(labels, "count") else len(labels)
-    print(json.dumps({"kept": n_kept, "in_clusters": n_labeled}))
+    print(json.dumps({"kept": kept.count(), "in_clusters": labels.count()}))
     ray.shutdown()
 
 

@@ -903,12 +903,12 @@ def q_distinct_langs(sf_dir: str):
 # ------------------------------------------------- non-SQL-expressible (rows-only)
 
 def q_minhash_dedup(sf_dir: str):
-    """Registered on the scale plan: dataset-native candidate tails,
-    distributed labeling, anti-join survivors — zero driver collection or
-    broadcast of keys/pairs/labels (the driver plan is equivalence-tested
-    in tests/test_dedup.py)."""
+    """Near-dedup survivors: one band exchange for the candidates,
+    bucket-exchange label rounds, anti-join survivors — nothing collected
+    to the driver or broadcast (the plan is tested against plain-Python
+    oracles in tests/test_dedup.py)."""
     kept, _ = minhash_dedup(_docs(sf_dir, ["doc_id", "text"]), "text",
-                            "doc_id", scale="distributed")
+                            "doc_id")
     return kept.select_columns(["doc_id"]).sort("doc_id")
 
 
@@ -1794,8 +1794,8 @@ def q_topk_per_user(sf_dir: str):
 
 def q_connected_components(sf_dir: str):
     """Connected components by distributed min-label propagation — the
-    dedup stack's clustering primitive (cluster_pairs_distributed: fused
-    first round, lazy pointer jumping, 2 thin exchanges/round) exposed as
+    dedup stack's clustering primitive (cluster_pairs_distributed: one
+    bucket exchange per round, pointer jumping by asked labels) exposed as
     its own ORACLE-CHECKED query: the SQL replay is a recursive CTE
     computing min reachable label over the symmetrized edge set, which at
     fixpoint is exactly the per-component minimum.  Graph (deterministic,
@@ -6873,9 +6873,8 @@ def q_minhash_recall(sf_dir: str):
     estimate threshold.  One distributed left join of truth against
     candidates; single report row (n_true, n_candidates, n_hit) —
     recall = n_hit / n_true.  Signatures are not SQL-expressible, so
-    this carries the rows-only contract.  Candidates run the bounded-
-    corpus driver plan (an eval harness samples; the production dedup
-    path stays scale="distributed")."""
+    this carries the rows-only contract.  Candidates are the same
+    one-row-per-pair set that ``minhash_dedup`` clusters."""
     from ..stages.dedup import minhash_candidates, setsim_prefix_join
     from ..stages.join import partitioned_hash_join
 
@@ -6890,8 +6889,7 @@ def q_minhash_recall(sf_dir: str):
         setsim_prefix_join(docs, "text", "doc_id", n=3, threshold=(4, 5))
         .select_columns(["id_a", "id_b"]))
     cand = materialize_compact(  # consumed twice: the join and the count
-        minhash_candidates(docs, "text", "doc_id",
-                           est_threshold=0.5, scale="driver")
+        minhash_candidates(docs, "text", "doc_id", est_threshold=0.5)
         .select_columns(["id_a", "id_b"])
         .map_batches(lambda t: t.append_column(
             "hit", pa.array(np.ones(t.num_rows, np.int64))),
@@ -7558,8 +7556,8 @@ def q_neardup_clusters(sf_dir: str):
     n_clusters) — the chain-merge signal a curator reads before applying
     transitive dedup (one 10,000-doc cluster behind pairwise-0.8 links
     is a policy decision, not a dedup).  Pairs come from the oracle-
-    exact prefix-filter join; labeling is the same pointer-jumping
-    machinery as minhash_dedup's distributed path, so the oracle can
+    exact prefix-filter join; the clusters come from the same
+    ``cluster_pairs_distributed`` that minhash_dedup uses, so the oracle can
     replay the WHOLE statistic (pairs -> recursive-CTE components ->
     histogram) in SQL."""
     from ..stages.aggregate import pre_aggregated_count

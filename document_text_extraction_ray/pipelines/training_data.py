@@ -220,11 +220,7 @@ def prepare_training_data(
         # and spillable; the 100-TB production form of the same decision is
         # checkpointing this boundary to Parquet and reading it twice.
         deduped = deduped.materialize()
-        # The 100-TB plan end-to-end: candidate tails, labeling, AND
-        # survivor filtering all dataset-native (labels is a Dataset; the
-        # removed-id set is never driver-collected or broadcast).
-        deduped, labels = minhash_dedup(deduped, "extracted_text", "url",
-                                        scale="distributed")
+        deduped, labels = minhash_dedup(deduped, "extracted_text", "url")
         report["near_dup_cluster_ids"] = labels.count()
     return deduped, report
 

@@ -2,7 +2,7 @@
 
 The dedup stack already has distributed connected components
 (``dedup.cluster_pairs_distributed`` — min-label propagation with pointer
-jumping); this module adds the other canonical iterative-join algorithm.
+jumping on the bucket exchange); this module adds the other canonical iterative-join algorithm.
 Everything is FIXED-POINT integer arithmetic (micro-units + floor
 division) so a SQL replay reproduces every iteration bit for bit — float
 PageRank diverges across engines at the ULP level because per-node
@@ -1213,10 +1213,10 @@ def directed_min_reach(edges, nodes, src_col: str = "src",
     """Fixpoint of ``label(v) = min({v} U {label(u) : u -> v})`` — i.e.
     the MINIMUM node id that can REACH v along edge direction.
 
-    Round structure follows the ``cluster_pairs_distributed`` lazy-jump
-    lesson: rounds 1..jump_start-1 are PROPAGATE-ONLY (one edge join +
-    one bucketed min fold — web-shaped graphs with shallow diameter
-    converge here and never pay a jump join); from ``jump_start`` on,
+    Round structure is lazy jumping: rounds 1..jump_start-1 are
+    PROPAGATE-ONLY (one edge join + one bucketed min fold — web-shaped
+    graphs with shallow diameter converge here and never pay a jump
+    join); from ``jump_start`` on,
     each round adds a pointer jump (label <- label of label) so long
     chains still converge in O(log chain) rounds.  When jumping, the
     folded state is MATERIALIZED before the jump join — both jump sides

@@ -4,6 +4,8 @@ import numpy as np
 import pyarrow as pa
 import ray
 import ray.data
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from document_text_extraction_ray.functions import dedup as D
 from document_text_extraction_ray.stages import dedup as SD
@@ -75,9 +77,9 @@ def test_exact_dedup_ids():
 
 
 def test_minhash_dedup_pipeline():
-    kept_ds, labels = SD.minhash_dedup(_docs(), "text", "doc_id",
-                                       est_threshold=0.5, scale="driver")
+    kept_ds, labels_ds = SD.minhash_dedup(_docs(), "text", "doc_id")
     kept = sorted(kept_ds.to_pandas()["doc_id"])
+    labels = {r["node"]: r["label"] for r in labels_ds.take_all()}
     # 1,2,3 cluster together (exact + near dup); min id 1 survives.
     assert 1 in kept and 4 in kept and 5 in kept
     assert 2 not in kept and 3 not in kept
@@ -136,7 +138,7 @@ def test_exact_dedup_strategies_equivalent():
 
 
 def test_cluster_pairs_distributed_matches_union_find():
-    """Min-label propagation (joins + pointer jumping) == driver union-find,
+    """Label rounds (propagation + pointer jumping) == driver union-find,
     including a long chain (pathological pair volume shape)."""
     import ray.data as rd
 
@@ -147,7 +149,7 @@ def test_cluster_pairs_distributed_matches_union_find():
     pairs += [(100, 101), (101, 102), (100, 102), (200, 201)]
     ref = SD._cluster_pairs(pairs)
     pairs_ds = rd.from_items([{"id_a": a, "id_b": b} for a, b in pairs])
-    got_rows = SD.cluster_pairs_distributed(pairs_ds, max_iters=8).take_all()
+    got_rows = SD.cluster_pairs_distributed(pairs_ds).take_all()
     got = {r["node"]: r["label"] for r in got_rows}
     assert got == ref
     assert got[8] == 0 and got[102] == 100 and got[201] == 200
@@ -167,15 +169,42 @@ def test_verify_pairs_jaccard_join_equals_broadcast():
     assert (1, 2) in {(a, b) for a, b in zip(jn["id_a"], jn["id_b"])}
 
 
+def candidates_oracle(rows, threshold):
+    """Plain-Python MinHash candidates: every pair of non-blank docs that
+    shares any band key, with its signature estimate, kept at
+    ``est >= threshold`` — one entry per pair, ``id_a < id_b``."""
+    sigs = {r["doc_id"]: D.minhash_signature(r["text"], SD.NUM_PERM,
+                                             SD.SHINGLE_K)
+            for r in rows if r["text"] and r["text"].strip()}
+    keys = {i: set(D.band_keys(s, SD.BANDS)) for i, s in sigs.items()}
+    ids = sorted(sigs)
+    out = {}
+    for x, a in enumerate(ids):
+        for b in ids[x + 1:]:
+            est = float((sigs[a] == sigs[b]).mean())
+            if keys[a] & keys[b] and est >= threshold:
+                out[(a, b)] = est
+    return out
+
+
+def dedup_oracle(rows):
+    """Plain-Python near-dedup: union-find labels over the candidate
+    oracle's pairs, and the ids that are not a non-min cluster member."""
+    labels = SD._cluster_pairs(
+        candidates_oracle(rows, SD.DEDUP_EST_THRESHOLD))
+    kept = sorted(r["doc_id"] for r in rows
+                  if labels.get(r["doc_id"], r["doc_id"]) == r["doc_id"])
+    return kept, labels
+
+
 def test_minhash_dedup_distributed_labeling_matches_driver():
-    ds = _docs()
-    kept_d, lab_d = SD.minhash_dedup(ds, "text", "doc_id", labeling="driver",
-                                     scale="driver")
-    kept_x, lab_x = SD.minhash_dedup(ds, "text", "doc_id",
-                                     labeling="distributed", scale="driver")
-    assert lab_d == lab_x
-    assert sorted(kept_d.to_pandas()["doc_id"]) == sorted(
-        kept_x.to_pandas()["doc_id"])
+    """The distributed labels and survivors equal the driver-side oracle
+    (candidate oracle -> ``_cluster_pairs`` union-find)."""
+    rows = _docs().take_all()
+    kept, labels = SD.minhash_dedup(_docs(), "text", "doc_id")
+    want_kept, want_labels = dedup_oracle(rows)
+    assert {r["node"]: r["label"] for r in labels.take_all()} == want_labels
+    assert sorted(kept.to_pandas()["doc_id"]) == want_kept == [1, 4, 5]
 
 
 def test_minhash_candidates_all_empty_corpus():
@@ -194,51 +223,58 @@ def test_minhash_candidates_all_empty_corpus():
     assert set(out.schema().names) >= {"id_a", "id_b"}
 
 
-def test_minhash_candidates_distributed_matches_driver():
-    """scale='distributed' (semi-join band filter + groupby pair dedup) ==
-    scale='driver' (broadcast keys + driver drop_duplicates)."""
-    d = SD.minhash_candidates(_docs(), "text", "doc_id", est_threshold=0.5,
-                              scale="driver").to_pandas()
-    x = SD.minhash_candidates(_docs(), "text", "doc_id", est_threshold=0.5,
-                              scale="distributed").to_pandas()
-    key = lambda df: sorted(zip(df["id_a"], df["id_b"],
-                                df["est_jaccard"].round(9)))
-    assert key(d) == key(x)
-    assert len(d) > 0
+_TEXT_POOL = [BASE, NEAR, OTHER, BASE + " and then some", OTHER[:60], "",
+              "   ", "x", BASE.upper()]
 
 
-def test_minhash_dedup_scale_distributed_matches_driver():
-    """Full scale plan (dataset-native tails + anti-join survivors, labels
-    returned AS A DATASET) == driver plan, for int AND string ids."""
-    ds = _docs()
-    kept_d, lab_d = SD.minhash_dedup(ds, "text", "doc_id", scale="driver")
-    kept_x, lab_x = SD.minhash_dedup(ds, "text", "doc_id",
-                                     scale="distributed")
-    assert sorted(kept_d.to_pandas()["doc_id"]) == sorted(
-        kept_x.to_pandas()["doc_id"])
-    got = {r["node"]: r["label"] for r in lab_x.take_all()}
-    assert got == lab_d
+@settings(max_examples=12, deadline=None)
+@example(picks=[5, 6, 5], string_ids=True, threshold=0.5)  # all blank
+@example(picks=[0, 0, 1, 3, 2, 5], string_ids=False, threshold=0.5)
+@given(picks=st.lists(st.integers(0, len(_TEXT_POOL) - 1), max_size=9),
+       string_ids=st.booleans(),
+       threshold=st.sampled_from([0.3, 0.5, 0.8]))
+def test_minhash_candidates_distributed_matches_driver(picks, string_ids,
+                                                       threshold):
+    """The one-exchange candidates (each pair emitted once, from its lowest
+    colliding band) equal the driver-side plain-Python oracle: one row per
+    pair, same estimate; empty and blank texts never pair, string ids keep
+    their type, and an all-blank corpus returns a typed empty table."""
+    rows = [{"doc_id": f"d{i:02d}" if string_ids else i,
+             "text": _TEXT_POOL[p]} for i, p in enumerate(picks)]
+    id_type = pa.string() if string_ids else pa.int64()
+    ds = ray.data.from_arrow(pa.Table.from_pylist(
+        rows, schema=pa.schema([("doc_id", id_type), ("text", pa.string())])))
+    out = SD.minhash_candidates(ds, "text", "doc_id",
+                                est_threshold=threshold)
+    got = {(r["id_a"], r["id_b"]): r["est_jaccard"] for r in out.take_all()}
+    assert got == candidates_oracle(rows, threshold)
+    assert out.count() == len(got)  # no pair twice
+    sch = out.schema().base_schema
+    assert sch.field("id_a").type == sch.field("id_b").type == id_type
 
+
+def test_minhash_dedup_string_ids_match_oracle():
+    """String ids end to end: survivors and the label Dataset equal the
+    driver-side oracle, and the labels keep the string id type."""
     texts = {1: BASE, 2: BASE, 3: NEAR, 4: OTHER, 5: ""}
-    sds = ray.data.from_items(
-        [{"doc_id": f"u{i}", "text": t} for i, t in texts.items()]
-    )
-    kept_s, lab_s = SD.minhash_dedup(sds, "text", "doc_id",
-                                     scale="distributed")
-    assert sorted(kept_s.to_pandas()["doc_id"]) == ["u1", "u4", "u5"]
-    # label table carries the string id type end-to-end
+    rows = [{"doc_id": f"u{i}", "text": t} for i, t in texts.items()]
+    kept_s, lab_s = SD.minhash_dedup(ray.data.from_items(rows), "text",
+                                     "doc_id")
+    want_kept, want_labels = dedup_oracle(rows)
+    assert sorted(kept_s.to_pandas()["doc_id"]) == want_kept \
+        == ["u1", "u4", "u5"]
     got_s = {r["node"]: r["label"] for r in lab_s.take_all()}
-    assert got_s == {"u2": "u1", "u3": "u1", "u1": "u1"}
+    assert got_s == want_labels == {"u2": "u1", "u3": "u1", "u1": "u1"}
+    assert pa.types.is_string(lab_s.schema().base_schema.field("node").type)
 
 
 def test_minhash_dedup_distributed_no_dups():
-    """No duplicate clusters: the scale plan returns the corpus unchanged
-    and an EMPTY label dataset (no anti-join needed)."""
+    """No duplicate clusters: the plan returns the corpus unchanged
+    and an EMPTY label dataset."""
     ds = ray.data.from_items(
         [{"doc_id": 3, "text": NEAR}, {"doc_id": 4, "text": OTHER}]
     )
-    kept, labels = SD.minhash_dedup(ds, "text", "doc_id",
-                                    scale="distributed")
+    kept, labels = SD.minhash_dedup(ds, "text", "doc_id")
     assert sorted(kept.to_pandas()["doc_id"]) == [3, 4]
     assert labels.count() == 0
 
@@ -249,13 +285,11 @@ def test_minhash_candidates_distributed_string_empty_typed():
     ds = ray.data.from_items(
         [{"doc_id": "a", "text": NEAR}, {"doc_id": "b", "text": OTHER}]
     )
-    for scale in ("driver", "distributed"):
-        out = SD.minhash_candidates(ds, "text", "doc_id", scale=scale)
-        assert out.count() == 0
-        sch = out.schema().base_schema
-        import pyarrow as pa
-        assert pa.types.is_string(sch.field("id_a").type) or \
-            pa.types.is_large_string(sch.field("id_a").type), (scale, sch)
+    out = SD.minhash_candidates(ds, "text", "doc_id")
+    assert out.count() == 0
+    sch = out.schema().base_schema
+    assert pa.types.is_string(sch.field("id_a").type) or \
+        pa.types.is_large_string(sch.field("id_a").type), sch
 
 
 def test_edit_distance_join_matches_bruteforce():
@@ -291,21 +325,80 @@ def test_levenshtein_cap_semantics():
     assert SD._levenshtein("abc", "xyz", 2) == 3  # cap+1
 
 
-def test_minhash_dedup_broadcast_vs_antijoin_survivors():
-    """Size-adaptive survivor filtering: the bounded broadcast branch
-    (n_labeled <= threshold) and the distributed anti-join branch
-    (threshold=0 forces it) keep the SAME set, labels identical."""
-    ds = _docs()
-    kept_b, lab_b = SD.minhash_dedup(ds, "text", "doc_id",
-                                     scale="distributed",
-                                     broadcast_threshold=1_000_000)
-    kept_a, lab_a = SD.minhash_dedup(ds, "text", "doc_id",
-                                     scale="distributed",
-                                     broadcast_threshold=0)
-    assert sorted(kept_b.to_pandas()["doc_id"]) == \
-        sorted(kept_a.to_pandas()["doc_id"]) == [1, 4, 5]
-    key = lambda l: sorted((r["node"], r["label"]) for r in l.take_all())
-    assert key(lab_b) == key(lab_a)
+def test_minhash_dedup_antijoin_survivors_keep_full_rows():
+    """The anti-join survivors are the oracle's ids with every column of
+    their input row intact (a nested struct column included), and the
+    labels equal the oracle's."""
+    rows = [{"doc_id": i, "text": t, "meta": {"n": i, "tags": [t[:5], "x"]}}
+            for i, t in [(4, OTHER), (2, BASE), (1, BASE), (3, NEAR),
+                         (6, ""), (5, BASE + " and then some")]]
+    ds = ray.data.from_arrow(pa.Table.from_pylist(rows))
+    kept, labels = SD.minhash_dedup(ds, "text", "doc_id")
+    want_kept, want_labels = dedup_oracle(rows)
+    got = sorted(kept.take_all(), key=lambda r: r["doc_id"])
+    assert got == sorted((r for r in rows if r["doc_id"] in want_kept),
+                         key=lambda r: r["doc_id"])
+    assert {r["node"]: r["label"] for r in labels.take_all()} == want_labels
+
+
+def test_cluster_pairs_distributed_raises_past_round_cap(monkeypatch):
+    """Labels still moving after LABEL_ROUNDS rounds and one confirming
+    round raise instead of returning a partial merge; the same path graph
+    converges at the default cap."""
+    import pytest
+
+    # A sorted path 0-1-...-40 whose blocks hold no two adjacent edges, so
+    # the batch-local contraction leaves it a path.
+    edges = [(i, i + 1) for i in range(0, 40, 2)] + \
+            [(i, i + 1) for i in range(1, 40, 2)]
+    ds = ray.data.from_items(
+        [{"id_a": a, "id_b": b} for a, b in edges]).repartition(2)
+    monkeypatch.setattr(SD, "LABEL_ROUNDS", 2)
+    with pytest.raises(RuntimeError, match="still moving"):
+        SD.cluster_pairs_distributed(ds).take_all()
+    monkeypatch.undo()
+    got = {r["node"]: r["label"]
+           for r in SD.cluster_pairs_distributed(ds).take_all()}
+    assert got == SD._cluster_pairs(edges)
+
+
+def test_minhash_dedup_at_most_four_executions():
+    """``minhash_dedup`` plus ``labels.count()`` runs at most 4 Ray Data
+    executions on planted near-copies (candidates + label state, one label
+    round, the label count), with the oracle's survivors and labels."""
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor,
+    )
+
+    from document_text_extraction_ray.sources.corpus import (
+        synth_corpus_table,
+    )
+
+    pages = synth_corpus_table(40, seed=42, include_golden=False)
+    rows = [{"doc_id": u, "text": t} for u, t in zip(
+        pages.column("url").to_pylist(), pages.column("text").to_pylist())]
+    rows += [{"doc_id": r["doc_id"] + "?copy",
+              "text": r["text"] + " one short closing note"}
+             for r in rows[:3]]
+    ds = ray.data.from_arrow(pa.Table.from_pylist(rows)).materialize()
+    executions = []
+    execute = StreamingExecutor.execute
+
+    def counted(self, *args, **kwargs):
+        executions.append(1)
+        return execute(self, *args, **kwargs)
+
+    StreamingExecutor.execute = counted
+    try:
+        kept, labels = SD.minhash_dedup(ds, "text", "doc_id")
+        n_labeled = labels.count()
+    finally:
+        StreamingExecutor.execute = execute
+    assert len(executions) <= 4, len(executions)
+    want_kept, want_labels = dedup_oracle(rows)
+    assert n_labeled == len(want_labels) == 6
+    assert {r["node"]: r["label"] for r in labels.take_all()} == want_labels
+    assert sorted(kept.to_pandas()["doc_id"]) == want_kept
 
 
 # ----------------------------------------- prefix-filter set-similarity join

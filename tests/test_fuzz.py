@@ -130,7 +130,7 @@ def test_cluster_pairs_distributed_random_graphs():
         ref = SD._cluster_pairs(pairs)
         ds = rd.from_items([{"id_a": a, "id_b": b} for a, b in pairs])
         got = {r["node"]: r["label"]
-               for r in SD.cluster_pairs_distributed(ds, max_iters=12).take_all()}
+               for r in SD.cluster_pairs_distributed(ds).take_all()}
         assert got == ref, (trial, pairs)
 
 
@@ -367,26 +367,36 @@ def test_boilerplate_removal_random_vs_brute_force():
                 f"trial {trial} doc {did}"
 
 
-def test_cluster_pairs_local_contract_equivalence():
-    """The batch-local union-find contraction prepass must not change
-    labels on any graph — including self-pairs (isolated nodes must stay
-    visible) and components split across input blocks."""
+def test_cluster_pairs_local_contract_equivalence(monkeypatch):
+    """The batch-locally contracted label rounds equal the union-find
+    oracle on random graphs with self-pairs (isolated nodes must stay
+    visible) and components split across input blocks, at one exchange
+    range and at four."""
     import numpy as np
     import ray.data as rd
 
     from document_text_extraction_ray.stages import dedup as SD
+    from document_text_extraction_ray.stages import exchange
 
     rng = np.random.RandomState(23)
+    graphs = []
     for trial in range(3):
         n = 40
         pairs = [tuple(sorted(rng.choice(n, size=2, replace=False)))
                  for _ in range(rng.randint(8, 30))]
         pairs = sorted({(int(a), int(b)) for a, b in pairs})
         pairs.append((n + 5, n + 5))  # self-pair: isolated labeled node
-        ds = rd.from_items(
-            [{"id_a": a, "id_b": b} for a, b in pairs]).repartition(4)
-        lab = lambda d: {r["node"]: r["label"] for r in d.take_all()}
-        got_on = lab(SD.cluster_pairs_distributed(ds, local_contract=True))
-        got_off = lab(SD.cluster_pairs_distributed(ds, local_contract=False))
-        assert got_on == got_off, (trial, pairs)
-        assert got_on[n + 5] == n + 5
+        graphs.append(pairs)
+    lab = lambda d: {r["node"]: r["label"] for r in d.take_all()}
+    for ranges in (4, 1):
+        if ranges == 1:
+            monkeypatch.setattr(exchange, "ray_cpus", lambda: 1)
+            monkeypatch.setattr("document_text_extraction_ray.util.ray_cpus",
+                                lambda: 1)
+        assert exchange.range_boundaries(4) == {4: [1, 2, 3], 1: [4]}[ranges]
+        for pairs in graphs:
+            ds = rd.from_items(
+                [{"id_a": a, "id_b": b} for a, b in pairs]).repartition(4)
+            got = lab(SD.cluster_pairs_distributed(ds))
+            assert got == SD._cluster_pairs(pairs), (ranges, pairs)
+            assert got[45] == 45

@@ -383,6 +383,32 @@ def test_cli_surface(tmp_path):
     assert d["buckets_committed"] == 0 and d["parts_committed"] == 1
 
 
+def test_cli_dedup(tmp_path):
+    """``python -m document_text_extraction_ray dedup`` on a parquet file
+    with three planted near-copies prints the kept count and the count of
+    clustered ids (each copy and its original)."""
+    import json
+    import sys
+
+    from child import run_child
+
+    pages = synth_corpus_table(12, seed=42, include_golden=False)
+    urls, texts = pages.column("url").to_pylist(), \
+        pages.column("text").to_pylist()
+    urls += [u + "?copy" for u in urls[:3]]
+    texts += [t + " one short closing note" for t in texts[:3]]
+    path = str(tmp_path / "docs.parquet")
+    pq.write_table(pa.table({"url": urls, "text": texts}), path)
+    r = run_child(
+        [sys.executable, "-m", "document_text_extraction_ray",
+         "--num-cpus", "1", "dedup", "--input", path, "--text-col", "text"],
+        timeout=180,
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    )
+    assert json.loads(r.stdout.strip().splitlines()[-1]) == \
+        {"kept": 12, "in_clusters": 6}
+
+
 def test_sharded_job_skips_corrupt_partition(tmp_path):
     """A corrupt input FILE fails only its partition; the rest commit, and a
     rerun (with the file fixed) completes exactly the failed partition."""
