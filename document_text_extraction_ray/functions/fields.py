@@ -56,11 +56,51 @@ Per extractor:
     alternative contains it).  GPA starts at the first 'gpa': a match at the
     'c' of 'cgpa' captures the same number as the one at its 'g'.
   - linkedin/github: the literal host prefix must occur.
+
+Batch path.  ``batch_fields(texts)`` returns ``extract_all_fields`` of every
+text as one ``S.FIELDS_TYPE`` array; the extraction stage calls it once per
+Arrow batch.  Only ASCII rows take the fast path, since on other text the
+engines part ways (Python's ``str.lower`` maps KELVIN SIGN to 'k', 'İ' to
+two code points; ``\d``/``\w``/``\s`` are Unicode classes in both, with
+different tables); every other row calls ``extract_all_fields``, which
+stays the definition (the golden generator and per-document callers use
+it too).  ASCII rows go through one polars ``select``: ``str.extract_all``
+on the Rust ``regex`` crate for emails, the four phone patterns,
+linkedin, github, both degree patterns and GPA, and one overlapping
+Aho-Corasick ``str.extract_many`` over the 50 skill keywords (every
+occurrence of every keyword, so nested keywords count as ``kw in low``
+does).  One Arrow sort by (field, row, value) then de-duplicates and
+orders every list at once; phones are stripped and length-filtered, GPA
+keeps its number, skills are title-cased, all in Arrow.  Dialect notes:
+  - ``\s``: Python's reads [\t-\r\x1c-\x20] on ASCII text, Rust's lacks
+    \x1c-\x1f, so the batch patterns spell the class out and phones strip
+    the same set ('555\x1c123\x1c4567' is a phone, 'b.\x1fsc' a degree);
+  - ``\b``, ``\d``, ``\w``: ``(?-u)`` makes Rust's ASCII, which is what
+    Python's are on ASCII text;
+  - ``DEGREE_RES[0]``'s look-behind (Rust has none) is written back as its
+    plain leading ``\b`` form, the one the per-document form is
+    equivalence-tested against.
+A match is the whole pattern: for the degree patterns that equals
+``findall``'s group (their ``\b`` are empty); GPA's number is the match
+without its 'gpa:'/'cgpa ' prefix.  polars is imported on the first batch
+that needs fields, never at module import, with its thread pool first set
+to the Ray task's CPU allotment (one thread in a 1-CPU map task).  The
+per-document prefilters above stay for the per-document callers.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import os
 import re
+import sys
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+
+from .. import schema as S
 
 EMAIL_RE = re.compile(r"\b[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Z|a-z]{2,}\b")
 
@@ -391,6 +431,155 @@ def extract_all_fields(text: str) -> dict:
         "degrees": _degrees(low),
         "gpa": _gpa(low),
     }
+
+
+# --- Batch kernel (module docstring, "Batch path") -------------------------
+
+# Python's ``\s`` on ASCII text (module docstring, dialect notes).
+_ASCII_WS = "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "
+
+
+def _ascii_dialect(pattern: str) -> str:
+    return "(?-u)" + pattern.replace(r"\s", r"[\t-\r\x1c-\x20]")
+
+
+# DEGREE_RES[0] with its leading \b written out: Rust has no look-behind.
+_DEGREE0_PLAIN = (r"\b(bachelor|master|phd|doctorate|diploma|certificate"
+                  r"|b\.?\s*[a-z]+|m\.?\s*[a-z]+|ph\.?\s*d\.?)\b")
+# (output field, scan the lowered text?, pattern) per extract_all scan; a
+# match is the whole pattern, which equals findall's group 1 for the
+# degrees (their \b are empty) and holds GPA's number after a prefix of
+# 'cgpa:' and whitespace.  Skills come from one Aho-Corasick scan.
+_BATCH_SCANS = [
+    ("emails", False, EMAIL_RE.pattern),
+    *(("phones", False, p.pattern) for p in PHONE_RES),
+    ("linkedin", True, LINKEDIN_RE.pattern),
+    ("github", True, GITHUB_RE.pattern),
+    ("degrees", True, _DEGREE0_PLAIN),
+    ("degrees", True, DEGREE_RES[1].pattern),
+    ("gpa", True, GPA_RE.pattern),
+]
+_SCAN_NAMES = [name for name, _, _ in _BATCH_SCANS] + ["skills"]
+# Each scan's place in FIELDS_TYPE, and per field its scans' span
+# (a field's scans are adjacent).
+_SCAN_FIELD = np.array([S.FIELDS_TYPE.get_field_index(name)
+                        for name in _SCAN_NAMES])
+_FIELD_SCANS = [
+    (name, _SCAN_NAMES.index(name),
+     _SCAN_NAMES.index(name) + _SCAN_NAMES.count(name))
+    for name in dict.fromkeys(_SCAN_NAMES)
+]
+_GPA_PREFIX = "cgpa:" + _ASCII_WS
+_SKILL_KEYWORDS_ARR = pa.array(SKILL_KEYWORDS)
+_SKILL_TITLES_ARR = pa.array([k.title() for k in SKILL_KEYWORDS],
+                             pa.large_string())
+
+
+def _polars():
+    """polars, imported on first use; in a Ray task its thread pool is first
+    sized to the task's CPUs, so a 1-CPU map task runs it on one thread."""
+    if "polars" not in sys.modules:
+        ray = sys.modules.get("ray")
+        if (ray is not None and ray.is_initialized()
+                and ray.get_runtime_context().worker.mode == ray.WORKER_MODE):
+            cpus = ray.get_runtime_context().get_assigned_resources().get(
+                "CPU", 0)
+            os.environ["POLARS_MAX_THREADS"] = str(max(1, math.ceil(cpus)))
+    import polars
+
+    return polars
+
+
+@functools.cache
+def _batch_select() -> list:
+    """The polars expressions of one batch pass, built once per process."""
+    pl = _polars()
+    text, low = pl.col("text"), pl.col("low")
+    scans = [(low if lowered else text).str.extract_all(
+        _ascii_dialect(pattern)).alias(str(i))
+        for i, (_, lowered, pattern) in enumerate(_BATCH_SCANS)]
+    return scans + [low.str.extract_many(
+        SKILL_KEYWORDS, overlapping=True).alias("skills")]
+
+
+def _ascii_batch_fields(texts: pa.Array) -> pa.StructArray:
+    """``extract_all_fields`` of every row of an all-ASCII, null-free
+    large_string array: one polars select, then one Arrow sort that orders
+    and de-duplicates the matches of all rows and fields at once."""
+    pl = _polars()
+    n = len(texts)
+    scans = pl.DataFrame({"text": pl.Series(texts)}).with_columns(
+        low=pl.col("text").str.to_lowercase()).select(_batch_select()).to_arrow()
+    # Scan j's match lists are rows j*n .. (j+1)*n - 1 of ``lists``.
+    lists = pa.concat_arrays([chunk for column in scans.columns
+                              for chunk in column.chunks])
+    scan, row = np.divmod(pc.list_parent_indices(lists).to_numpy(), n)
+    key = _SCAN_FIELD[scan] * n + row  # sorts by field, then by row
+    found = pc.list_flatten(lists)
+    starts = lists.offsets.to_numpy()[::n]  # scan j's matches: starts[j:j+2]
+    values = []
+    for name, first, end in _FIELD_SCANS:
+        value = found.slice(starts[first], starts[end] - starts[first])
+        if name == "phones":
+            value = pc.utf8_trim(value, _ASCII_WS)
+            value = pc.if_else(pc.greater_equal(pc.utf8_length(value), 7),
+                               value, None)
+        elif name == "gpa":
+            value = pc.utf8_ltrim(value, _GPA_PREFIX)
+        elif name == "skills":
+            value = _SKILL_TITLES_ARR.take(
+                pc.index_in(value, value_set=_SKILL_KEYWORDS_ARR))
+        values.append(value)
+    table = pa.table({"key": key, "value": pa.concat_arrays(values)})
+    table = table.filter(pc.is_valid(table.column("value")))
+    table = table.take(pc.sort_indices(
+        table, [("key", "ascending"), ("value", "ascending")]))
+    key = table.column("key").to_numpy()
+    value = table.column("value").combine_chunks()
+    # Sorted, so a repeat sits right after its first occurrence.
+    repeat = np.zeros(len(key), dtype=bool)
+    repeat[1:] = ((key[1:] == key[:-1])
+                  & pc.equal(value[1:], value[:-1]).to_numpy(
+                      zero_copy_only=False))
+    key, value = key[~repeat], value.filter(pa.array(~repeat))
+    value = value.cast(pa.string())
+    n_fields = S.FIELDS_TYPE.num_fields
+    offsets = np.zeros((n_fields, n + 1), dtype=np.int32)
+    np.cumsum(np.bincount(key, minlength=n_fields * n).reshape(n_fields, n),
+              axis=1, out=offsets[:, 1:])
+    columns, start = [], 0
+    for field_offsets in offsets:
+        columns.append(pa.ListArray.from_arrays(
+            pa.array(field_offsets), value.slice(start, field_offsets[-1])))
+        start += field_offsets[-1]
+    return pa.StructArray.from_arrays(columns, fields=list(S.FIELDS_TYPE))
+
+
+def batch_fields(texts) -> pa.StructArray:
+    """``extract_all_fields`` of every text, as one ``S.FIELDS_TYPE`` array.
+
+    ``texts`` is a list of str or an Arrow string array; a null text reads
+    as "".  ASCII rows run through ``_ascii_batch_fields``; every other row
+    calls ``extract_all_fields``, which stays the definition."""
+    if isinstance(texts, pa.ChunkedArray):
+        texts = texts.combine_chunks()
+    elif not isinstance(texts, pa.Array):
+        texts = pa.array(texts, pa.large_string())
+    if not len(texts):
+        return pa.array([], S.FIELDS_TYPE)
+    texts = texts.cast(pa.large_string()).fill_null("")
+    is_ascii = pc.string_is_ascii(texts).to_numpy(zero_copy_only=False)
+    if is_ascii.all():
+        return _ascii_batch_fields(texts)
+    rows = [np.flatnonzero(~is_ascii)]
+    parts = [pa.array([extract_all_fields(t) for t in texts.take(rows[0])
+                       .to_pylist()], S.FIELDS_TYPE)]
+    if is_ascii.any():
+        rows.append(np.flatnonzero(is_ascii))
+        parts.append(_ascii_batch_fields(texts.take(rows[1])))
+    # ``parts`` holds the rows in the order ``rows`` lists them; taking the
+    # inverse of that permutation puts every row back in place.
+    return pa.concat_arrays(parts).take(np.argsort(np.concatenate(rows)))
 
 
 def extract_projects(text: str, limit: int = 5) -> list:

@@ -2138,35 +2138,34 @@ def q_moving_avg(sf_dir: str):
 def q_fields_struct_counts(sf_dir: str):
     """Field-extractor family end-to-end with an oracle: the corpus gains a
     deterministic per-doc contact/education line (SQL-reconstructible) and
-    phones / linkedin / github / degrees / gpa / institutions are counted
-    through the full extract_education + extract_all_fields suite
-    (M2/M3/M9)."""
-    from ..functions.fields import extract_all_fields, extract_education
+    phones / linkedin / github / degrees / gpa are counted through one
+    batch_fields pass, institutions through extract_education (M2/M3/M9)."""
+    from ..functions.fields import batch_fields, extract_education
 
     def augment_and_count(t: pa.Table) -> pa.Table:
         ids = t.column("doc_id").to_pylist()
         texts = t.column("text").to_pylist()
-        np_, nl, ng, nd, na, ni = [], [], [], [], [], []
-        for i, x in zip(ids, texts):
-            aug = (f"{x or ''} reach me +1-415-555-{i % 10000:04d} "
-                   f"linkedin.com/in/user{i} github.com/user{i} "
-                   f"gpa: 3.{i % 9 + 1} bachelor of science, "
-                   f"University of Springfield")
-            f = extract_all_fields(aug)
-            np_.append(len(f["phones"]))
-            nl.append(len(f["linkedin"]))
-            ng.append(len(f["github"]))
-            nd.append(len(f["degrees"]))
-            na.append(len(f["gpa"]))
-            ni.append(len(extract_education(aug)["institutions"]))
+        augs = [f"{x or ''} reach me +1-415-555-{i % 10000:04d} "
+                f"linkedin.com/in/user{i} github.com/user{i} "
+                f"gpa: 3.{i % 9 + 1} bachelor of science, "
+                f"University of Springfield"
+                for i, x in zip(ids, texts)]
+        fields = batch_fields(augs)
+
+        def count(name):
+            return pc.cast(pc.list_value_length(fields.field(name)),
+                           pa.int64())
+
         return pa.table({
             "doc_id": t.column("doc_id"),
-            "n_phones": pa.array(np_, pa.int64()),
-            "n_linkedin": pa.array(nl, pa.int64()),
-            "n_github": pa.array(ng, pa.int64()),
-            "n_degrees": pa.array(nd, pa.int64()),
-            "n_gpa": pa.array(na, pa.int64()),
-            "n_institutions": pa.array(ni, pa.int64()),
+            "n_phones": count("phones"),
+            "n_linkedin": count("linkedin"),
+            "n_github": count("github"),
+            "n_degrees": count("degrees"),
+            "n_gpa": count("gpa"),
+            "n_institutions": pa.array(
+                [len(extract_education(a)["institutions"]) for a in augs],
+                pa.int64()),
         })
 
     return _docs(sf_dir, ["doc_id", "text"]).map_batches(

@@ -347,11 +347,16 @@ LABEL_ROUNDS = 32           # cluster_pairs_distributed's round cap
 _VIEW, _ASK, _ANSWER = 0, 1, 2
 
 
-def cluster_pairs_distributed(pairs_ds):
+def cluster_pairs_distributed(pairs_ds, id_type: pa.DataType | None = None):
     """Connected components of the ``(id_a, id_b)`` pair graph, as a
     Dataset of ``(node, label)`` with label = the component's min id —
     ``_cluster_pairs``'s assignment (equivalence-tested), computed without
     collecting anything to the driver.
+
+    ``id_type`` types the empty label table of an empty pair set.  Left
+    None, it is read from ``pairs_ds``'s schema, which executes a lazy
+    ``pairs_ds`` a second time (an empty exchange carries no schema), so a
+    caller that knows the id type passes it.
 
     State is one row per directed edge and one self row per node,
     ``(node, nbr, label)`` = ``node``'s view of ``nbr``'s label (ids to
@@ -428,7 +433,8 @@ def cluster_pairs_distributed(pairs_ds):
     n_views = state.count()
     if n_views == 0:
         # Typed empty label table: node/label carry the pair id type.
-        id_type = _arrow_schema(pairs_ds).field("id_a").type
+        if id_type is None:
+            id_type = _arrow_schema(pairs_ds).field("id_a").type
         return ray.data.from_arrow(pa.table({
             "node": pa.array([], id_type), "label": pa.array([], id_type)}))
     id_type = _arrow_schema(state).field("node").type
@@ -597,10 +603,11 @@ def minhash_dedup(ds, text_column: str, id_column: str):
     ``join.anti_join`` against the removed ids (labelled nodes that are not
     their own label).  ``ds`` is read twice (signatures, survivors), so
     pass it materialized when its lineage is costly."""
-    from .join import anti_join
+    from .join import _arrow_schema, anti_join
 
-    labels = cluster_pairs_distributed(minhash_candidates(
-        ds, text_column, id_column, DEDUP_EST_THRESHOLD))
+    labels = cluster_pairs_distributed(
+        minhash_candidates(ds, text_column, id_column, DEDUP_EST_THRESHOLD),
+        id_type=_arrow_schema(ds).field(id_column).type)
     removed = labels.map_batches(
         lambda t: pa.table({id_column: t.filter(pc.not_equal(
             t.column("node"), t.column("label"))).column("node")}),

@@ -23,10 +23,6 @@ from ..functions.html_extract import DEFAULT_CONFIG, ExtractConfig, extract_page
 
 EXTRACTOR_VERSION = "dte-ray-0.1.0"
 
-# Fields of an error row (its text is ""), computed once and shared: the
-# row's dict is only read while the Arrow column is built.
-_ERROR_ROW_FIELDS = F.extract_all_fields("")
-
 
 def url_bucket_array(urls, n_buckets: int) -> pa.Array:
     """crc32(url) % n_buckets — the engine's single partitioning key
@@ -44,8 +40,12 @@ def extract_batch(batch: pa.Table, config: ExtractConfig = DEFAULT_CONFIG,
     The kernel holds no state (regexes are module-level constants, already
     warm in reused Ray workers), so a task pool schedules elastically and
     skips actor-pool spin-up (~6s per pipeline execution measured at 32
-    CPUs).  ``extract_page`` and ``F.extract_all_fields`` are looked up at
-    call time, so a caller can swap either kernel for the whole batch."""
+    CPUs).  ``extract_page`` runs per row; with ``with_fields`` the batch's
+    texts (an error row's is "") go through one ``F.batch_fields`` call,
+    which imports polars on its first call in the process.  Both are looked
+    up at call time, so a caller can swap either kernel for the whole
+    batch.  ``F.extract_all_fields``, also looked up at call time, sees
+    only the non-ASCII rows, which ``batch_fields`` hands to it."""
     urls = batch.column("url").to_pylist()
     htmls = batch.column("html").to_pylist()
     langs = (
@@ -54,7 +54,7 @@ def extract_batch(batch: pa.Table, config: ExtractConfig = DEFAULT_CONFIG,
     )
 
     texts, spans_col, titles, n_blocks, n_chars = [], [], [], [], []
-    statuses, errors, fields_col = [], [], []
+    statuses, errors = [], []
     for html_bytes in htmls:
         try:
             page = extract_page(html_bytes, config)
@@ -68,8 +68,6 @@ def extract_batch(batch: pa.Table, config: ExtractConfig = DEFAULT_CONFIG,
             n_chars.append(len(text))
             statuses.append("ok")
             errors.append("")
-            if with_fields:
-                fields_col.append(F.extract_all_fields(text))
         except Exception as exc:  # in-band error row, batch keeps going
             texts.append("")
             spans_col.append([])
@@ -78,15 +76,14 @@ def extract_batch(batch: pa.Table, config: ExtractConfig = DEFAULT_CONFIG,
             n_chars.append(0)
             statuses.append("error")
             errors.append(f"{type(exc).__name__}: {exc}")
-            if with_fields:
-                fields_col.append(_ERROR_ROW_FIELDS)
 
+    text_array = pa.array(texts, type=pa.large_string())
     arrays = [
         batch.column("url"),
         batch.column("warc_ts"),
         pa.array(langs, type=pa.string()),
         url_bucket_array(urls, n_buckets),
-        pa.array(texts, type=pa.large_string()),
+        text_array,
         pa.array(spans_col, type=pa.large_list(S.SPAN_TYPE)),
         pa.array(titles, type=pa.string()),
         pa.array(n_blocks, type=pa.int32()),
@@ -97,7 +94,7 @@ def extract_batch(batch: pa.Table, config: ExtractConfig = DEFAULT_CONFIG,
     ]
     out_schema = S.EXTRACTED_SCHEMA
     if with_fields:
-        arrays.append(pa.array(fields_col, type=S.FIELDS_TYPE))
+        arrays.append(F.batch_fields(text_array))
         out_schema = S.FIELDS_SCHEMA
     return pa.Table.from_arrays(arrays, schema=out_schema)
 
@@ -105,10 +102,9 @@ def extract_batch(batch: pa.Table, config: ExtractConfig = DEFAULT_CONFIG,
 def extract_fields_batch(batch: pa.Table,
                          text_column: str = "extracted_text") -> pa.Table:
     """Standalone field-extraction stage over an ``extracted_text`` (or
-    ``text``) column — M1-M13 vectorized per batch (SURVEY.md §2.2)."""
-    texts = batch.column(text_column).to_pylist()
-    fields_col = [F.extract_all_fields(t or "") for t in texts]
+    ``text``) column — M1-M13 in one ``F.batch_fields`` pass per batch
+    (SURVEY.md §2.2); a null text reads as ""."""
     return batch.append_column(
         pa.field("fields", S.FIELDS_TYPE),
-        pa.array(fields_col, type=S.FIELDS_TYPE),
+        F.batch_fields(batch.column(text_column)),
     )

@@ -938,3 +938,67 @@ def test_sorted_neighborhood_rejects_window_ge_bucket(ray_session):
     with pytest.raises(ValueError):
         sorted_neighborhood_pairs(ds, ["k"], id_column="rid",
                                   window=8, bucket_size=8)
+
+
+_NO_NEAR_DUPS_ONE_CPU = r"""
+import json, random
+import pyarrow as pa
+import ray
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR")
+from ray.data import DataContext
+DataContext.get_current().enable_progress_bars = False
+from ray.data._internal.execution.streaming_executor import StreamingExecutor
+from document_text_extraction_ray.stages import dedup as SD
+
+rng = random.Random(7)
+words = [f"w{i}" for i in range(5000)]
+texts = [" ".join(rng.choice(words) for _ in range(60)) for _ in range(40)]
+execute = StreamingExecutor.execute
+out = {}
+for kind, ids in (("str", [f"d{i}" for i in range(40)]), ("int", range(40))):
+    ds = ray.data.from_arrow(pa.Table.from_pylist(
+        [{"doc_id": i, "text": t} for i, t in zip(ids, texts)])).materialize()
+    runs = []
+
+    def counted(self, *args, **kwargs):
+        runs.append(1)
+        return execute(self, *args, **kwargs)
+
+    StreamingExecutor.execute = counted
+    try:
+        kept, labels = SD.minhash_dedup(ds, "text", "doc_id")
+        n_labels = labels.count()
+    finally:
+        StreamingExecutor.execute = execute
+    schema = labels.schema()
+    out[kind] = {"executions": len(runs), "labels": n_labels,
+                 "types": [str(t) for t in schema.types],
+                 "names": list(schema.names), "kept": kept.count()}
+print(json.dumps(out))
+ray.shutdown()
+"""
+
+
+def test_minhash_dedup_without_near_dups_runs_its_pairs_once():
+    """On a corpus with no near-duplicates (one CPU), ``minhash_dedup``
+    plus ``labels.count()`` is ONE execution, not two: the empty label
+    table takes its id type from the input, instead of re-running the
+    signature pipeline for ``pairs_ds``'s schema.  The labels stay empty
+    and typed by the id column, for string and int ids."""
+    import json
+    import os
+    import sys
+
+    from child import run_child
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    r = run_child(
+        [sys.executable, "-c", _NO_NEAR_DUPS_ONE_CPU], timeout=180, cwd=root,
+        env={**os.environ, "PYTHONPATH": root},
+    )
+    got = json.loads(r.stdout.strip().splitlines()[-1])
+    for kind, id_type in (("str", "string"), ("int", "int64")):
+        assert got[kind] == {"executions": 1, "labels": 0,
+                             "types": [id_type, id_type],
+                             "names": ["node", "label"], "kept": 40}, kind

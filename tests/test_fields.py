@@ -184,6 +184,8 @@ _TEXTS = st.lists(st.sampled_from(_ATOMS), max_size=40).map("".join)
 @example("phd.x ph.d.x b.sc. m  tech")                # order within a letter
 @example("a graduate, postgraduate or undergraduate.")
 @example("GPA: 3.9, cgpa 3.75, xgpa:2.5")
+@example("555\x1c123\x1c4567")                        # \x1c is \s in Python
+@example("b.\x1fsc")
 @example("")
 def test_extractors_match_literal_formulas(text):
     want = _oracle(text)
@@ -200,3 +202,74 @@ def test_literal_oracle_cases_hit():
     assert out["emails"] == ["b@c.com"]
     assert "bachelor" not in out["degrees"]
     assert _shipped("x@y.co|uk")["emails"] == ["x@y.co|uk"]
+
+
+# --- The batch kernel against the same oracle ------------------------------
+#
+# ``batch_fields`` runs ASCII rows on polars' Rust regex and Aho-Corasick
+# kernels and hands the rest to ``extract_all_fields``.  The extra atoms are
+# ASCII characters Rust's ``\s`` misses (\x1c-\x1f) and non-ASCII ones whose
+# case mapping or class differs between engines: KELVIN SIGN (lowers to
+# 'k'), 'İ' (lowers to two code points), '²' (a digit to Python's
+# ``str.isdigit`` but not ``\d``) and a combining mark.
+
+_ASCII_ATOMS = [a for a in _ATOMS if a.isascii()] + list("\x1c\x1d\x1e\x1f")
+_ALL_ATOMS = _ATOMS + list("\x1c\x1d\x1e\x1f\u212a\u0130\u00b2\u0301")
+_ROWS = st.one_of(
+    st.lists(st.sampled_from(_ASCII_ATOMS), max_size=40).map("".join),
+    st.lists(st.sampled_from(_ALL_ATOMS), max_size=40).map("".join),
+    st.none(), st.just(""))
+_BATCHES = st.sampled_from([1, 2, 150]).flatmap(
+    lambda n: st.lists(_ROWS, min_size=n, max_size=n))
+_FIXED = [
+    "\u0663\u0664\u0665-555-1234", "call +\u0661 555 123 4567 now",
+    "x@y.co|uk and a@b.c|d", "me@site.com\u00e9 and you@site.org\u00e9",
+    "\u00e9bachelor \u00e9master m.sc", "a@b@c.com, x@y.z@w.org, @@q@r.io",
+    "mysqlinux javascript djangox mongodb",
+    "(123) 456-7890 and 12345678901234 and 123456789", "123-4567890123",
+    "phd.x ph.d.x b.sc. m  tech", "a graduate, postgraduate or undergraduate.",
+    "GPA: 3.9, cgpa 3.75, xgpa:2.5", "555\x1c123\x1c4567", "b.\x1fsc", "",
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_BATCHES)
+@example(["\u0663\u0664\u0665-555-1234"])
+@example(["call +\u0661 555 123 4567 now"])
+@example(["x@y.co|uk and a@b.c|d"])
+@example(["me@site.com\u00e9 and you@site.org\u00e9"])
+@example(["\u00e9bachelor \u00e9master m.sc"])
+@example(["a@b@c.com, x@y.z@w.org, @@q@r.io"])
+@example(["mysqlinux javascript djangox mongodb"])
+@example(["(123) 456-7890 and 12345678901234 and 123456789"])
+@example(["123-4567890123"])
+@example(["phd.x ph.d.x b.sc. m  tech"])
+@example(["a graduate, postgraduate or undergraduate."])
+@example(["GPA: 3.9, cgpa 3.75, xgpa:2.5"])
+@example(["555\x1c123\x1c4567"])                      # Rust's \s misses \x1c
+@example(["b.\x1fsc"])                                 # ... and \x1f
+@example([""])
+@example([None, ""])
+@example(_FIXED)                                      # ASCII and not, one batch
+def test_batch_fields_match_literal_formulas(batch):
+    got = F.batch_fields(batch)
+    assert got.type == F.S.FIELDS_TYPE
+    want = []
+    for text in batch:
+        row = _oracle(text or "")
+        del row["institutions"]
+        want.append(row)
+    assert got.to_pylist() == want
+
+
+def test_batch_fields_takes_arrow_and_keeps_row_order():
+    """A chunked Arrow column reads like the list of its values; ASCII and
+    non-ASCII rows come back in their input positions."""
+    import pyarrow as pa
+
+    texts = ["a@b.io python", "caf\u00e9 java", None, "ph.d. gpa 3.5", "\u212a8s"]
+    want = [F.extract_all_fields(t or "") for t in texts]
+    assert F.batch_fields(texts).to_pylist() == want
+    column = pa.chunked_array([texts[:2], texts[2:]], pa.string())
+    assert F.batch_fields(column).to_pylist() == want
+    assert F.batch_fields([]).to_pylist() == []

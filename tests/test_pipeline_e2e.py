@@ -525,3 +525,71 @@ def test_explain_stats_summarizes_operators():
     assert 500 in total_rows
     # parser never raises on arbitrary text
     assert explain_stats("not a stats string") == []
+
+
+_POLARS_PLACEMENT = r"""
+import json, os, sys, tempfile
+import pyarrow.parquet as pq
+import ray
+import document_text_extraction_ray
+import __ray_entry__
+from document_text_extraction_ray.pipelines import extract_pipeline
+from document_text_extraction_ray.sources.corpus import synth_corpus_table
+from document_text_extraction_ray.stages.extract import extract_batch
+
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR")
+from ray.data import DataContext
+DataContext.get_current().enable_progress_bars = False
+table = synth_corpus_table(20, seed=3, include_golden=False)
+
+
+@ray.remote(num_cpus=1)
+def in_task():
+    seen = {"before": "polars" in sys.modules}
+    extract_batch(table, with_fields=False)
+    seen["after_text_only"] = "polars" in sys.modules
+    fields = extract_batch(table, with_fields=True).column("fields")
+    import polars
+    seen["threads"] = polars.thread_pool_size()
+    seen["rows"] = len(fields)
+    return seen
+
+
+out = {"task": ray.get(in_task.remote())}
+extract_batch(table, with_fields=False)
+with tempfile.TemporaryDirectory() as tmp:
+    os.makedirs(os.path.join(tmp, "in"))
+    for k in range(2):
+        pq.write_table(table.slice(10 * k, 10),
+                       os.path.join(tmp, "in", f"part-{k}.parquet"))
+    summary = extract_pipeline.run_sharded_extraction_job(
+        os.path.join(tmp, "in"), os.path.join(tmp, "out"), run_id="r",
+        with_fields=True)
+out["job_rows"] = summary["rows"]
+out["driver_polars"] = "polars" in sys.modules
+print(json.dumps(out))
+ray.shutdown()
+"""
+
+
+def test_polars_loads_only_in_field_tasks_on_their_cpus():
+    """polars is imported by the first batch that extracts fields, in the
+    task that runs it, with its thread pool sized to the task's one CPU (the
+    host has more).  A text-only batch never imports it, and neither does
+    the driver: importing the package, the pipeline module and
+    ``__ray_entry__``, running a text-only batch and a sharded job with
+    fields leave it unloaded there."""
+    import json
+    import sys
+
+    from child import run_child
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "POLARS_MAX_THREADS"}
+    r = run_child([sys.executable, "-c", _POLARS_PLACEMENT], timeout=180,
+                  cwd=root, env={**env, "PYTHONPATH": root})
+    got = json.loads(r.stdout.strip().splitlines()[-1])
+    assert got == {"task": {"before": False, "after_text_only": False,
+                            "threads": 1, "rows": 20},
+                   "job_rows": 20, "driver_polars": False}
