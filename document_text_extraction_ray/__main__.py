@@ -71,15 +71,29 @@ def cmd_dedup(args):
 
 
 def cmd_summary(args):
+    """Totals over every manifest, then one row per committed partition
+    (rows, errors, html bytes) and the most frequent error classes, read
+    from the manifests alone."""
+    import collections
+
     from .state import checkpoint as ckpt
 
     manifests = ckpt.read_manifests(args.out)
     rows = sum(m.get("row_count", 0) for m in manifests)
     ok = sum(m.get("ok_count", 0) for m in manifests)
+    classes = collections.Counter()
+    for m in manifests:
+        classes.update(m.get("error_classes", {}))
     print(json.dumps({
         "buckets_committed": len(ckpt.committed_keys(args.out, "bucket")),
         "parts_committed": len(ckpt.committed_keys(args.out, "part")),
         "rows": rows, "ok": ok, "errors": rows - ok,
+        "partitions": [
+            {"part": m["part"], "rows": m["row_count"],
+             "errors": m["error_count"], "html_bytes": m.get("html_bytes")}
+            for m in manifests if "part" in m
+        ],
+        "top_error_classes": classes.most_common(5),
     }))
 
 

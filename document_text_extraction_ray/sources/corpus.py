@@ -8,6 +8,7 @@ single-process generation regardless of block layout.
 from __future__ import annotations
 
 import html as _html
+import itertools
 import os
 
 import pyarrow as pa
@@ -38,11 +39,14 @@ def _parquet_files(paths) -> list | None:
     return files
 
 
-def _read_tasks(paths) -> int | None:
+def _read_tasks(paths, block_target: int | None = None,
+                groups: list | None = None) -> int | None:
     """The read-task count ``read_corpus`` asks Ray for, or None for Ray's
     own plan: one task per Ray CPU when there are at least that many input
-    files and they decode to no more than Ray's block target
-    (``DataContext.target_max_block_size``) per file on average.
+    files and they decode to no more than the block target (``block_target``,
+    default ``DataContext.target_max_block_size``) per file on average.
+    With ``groups``, the fewest tasks, at least one per CPU, that no group
+    straddles (``_group_cut``).
 
     Then no task reads part of a file, so Ray inserts no ``SplitBlocks`` and
     the read fuses with the maps after it, in one wave of tasks; Ray's plan
@@ -59,10 +63,28 @@ def _read_tasks(paths) -> int | None:
     cpus = ray_cpus()
     if files is None or len(files) < cpus:
         return None
-    target = ray.data.DataContext.get_current().target_max_block_size
+    target = (block_target
+              or ray.data.DataContext.get_current().target_max_block_size)
     if target and _uncompressed_bytes(files) > len(files) * target:
         return None
-    return cpus
+    return cpus if groups is None else _group_cut(groups, cpus)
+
+
+def _group_cut(groups: list, least: int) -> int:
+    """The fewest read tasks, at least ``least``, such that no task reads
+    files of two groups (``groups``: sizes of consecutive runs of the file
+    list).  Ray deals the n files to N tasks as ``np.array_split`` does:
+    the first n % N tasks get one file more.  N = n, one file per task,
+    always cuts at every group boundary."""
+    n = sum(groups)
+    bounds = list(itertools.accumulate(groups))[:-1]
+    for tasks in range(max(least, len(groups)), n):
+        size, extra = divmod(n, tasks)
+        big = extra * (size + 1)        # the files of the larger tasks
+        if all(b % (size + 1) == 0 if b <= big else (b - big) % size == 0
+               for b in bounds):
+            return tasks
+    return n
 
 
 def _uncompressed_bytes(files) -> int:
@@ -77,14 +99,34 @@ def _uncompressed_bytes(files) -> int:
     return total
 
 
-def read_corpus(paths, columns=None) -> ray.data.Dataset:
+def read_corpus(paths, columns=None, *, include_paths: bool = False,
+                block_target: int | None = None,
+                groups: list | None = None) -> ray.data.Dataset:
     """Read Parquet from a directory, a file or a list of files in
     ``_read_tasks(paths)`` tasks, pruning columns at the read (never load
     `html` for a stage that only needs `text`).  The one sized reader of
     the extraction path: the jobs, the committed-table read and the CLI
-    all read through it."""
-    return ray.data.read_parquet(paths, columns=columns,
-                                 override_num_blocks=_read_tasks(paths))
+    all read through it.
+
+    ``include_paths`` adds Ray's ``path`` column (the file a row came
+    from).  ``block_target`` (bytes) is this Dataset's own block target:
+    it sizes the read plan, and it is set on the Dataset's context, which
+    Ray plans the read split and sizes every fused map's output blocks
+    from, so the process-global ``DataContext`` is left alone.
+
+    ``groups`` (sizes of consecutive runs of the list ``paths``) keeps
+    every read task within one run, so the tasks' outputs can be committed
+    run by run as the tasks end.  A sized read cuts the files at the run
+    boundaries (``_group_cut``); where Ray's own plan stands because there
+    are fewer files than CPUs or the files pass the block target, it reads
+    one file per task anyway (it asks for at least two tasks per CPU and
+    at least one per block target)."""
+    ds = ray.data.read_parquet(
+        paths, columns=columns, include_paths=include_paths,
+        override_num_blocks=_read_tasks(paths, block_target, groups))
+    if block_target is not None:
+        ds.context.target_max_block_size = block_target
+    return ds
 
 
 def _rows_to_corpus_table(rows, include_golden: bool) -> pa.Table:

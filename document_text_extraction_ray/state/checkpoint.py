@@ -23,6 +23,17 @@ Protocol (SURVEY.md §7.5 item 3 — sinks are at-least-once under retries):
 A bucket manifest lists out_dir-relative paths, a part manifest basenames
 under ``part=K/``; ``committed_files`` is the one reader that knows this.
 
+The part sink is one execution per job: ``stage_parts`` runs in every task
+of the sharded job, writes each partition's rows of its batch as one file
+named by a digest of the batch's place in the execution and of its bytes,
+and returns a stats row per file; the driver's ``PartLedger`` commits
+partition K once the rows reported for it reach its input footers' row
+count.  A partition is only the commit unit; its manifest (row, ok and
+error counts, chars, html bytes, error-class histogram) is summed from
+the stats rows, so nothing is re-read.
+``part_stats`` (a re-read of a written part) stays for callers that
+write a part by other means.
+
 The bucket sink exchanges rows on the key domain it already knows,
 ``[0, n_buckets)``, through ``stages.exchange.bucket_exchange`` (fixed
 range boundaries, no sampling stage, one reduce task per range), and every
@@ -37,16 +48,26 @@ unchanged; only the rename is replaced.
 from __future__ import annotations
 
 import collections
+import hashlib
 import json
 import os
 import shutil
 import time
 
+import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 MANIFEST_DIR = "_manifests"
 STAGING_DIR = "_staging"
+
+# One row per file ``stage_parts`` writes.
+PART_STATS_SCHEMA = pa.schema([
+    ("part", pa.int32()), ("file", pa.string()),
+    ("row_count", pa.int64()), ("ok_count", pa.int64()),
+    ("total_chars", pa.int64()), ("html_bytes", pa.int64()),
+    ("error_classes", pa.string()),
+])
 
 
 def committed_keys(out_dir: str, kind: str) -> set:
@@ -150,16 +171,10 @@ def write_bucketed(
         bucket_dir = os.path.join(staging, f"bucket={bucket}")
         os.makedirs(bucket_dir, exist_ok=True)
         pq.write_table(group, os.path.join(bucket_dir, "part-00000.parquet"))
-        ok = 0
-        chars = 0
-        if "status" in group.column_names:
-            ok = pc.sum(
-                pc.cast(pc.equal(group.column("status"), "ok"), "int64")
-            ).as_py() or 0
-        if "n_chars" in group.column_names:
-            chars = pc.sum(group.column("n_chars")).as_py() or 0
+        stats = _table_stats(group)
         return pa.table({"bucket": [bucket], "row_count": [group.num_rows],
-                         "ok_count": [ok], "total_chars": [chars]})
+                         "ok_count": [stats["ok_count"]],
+                         "total_chars": [stats["total_chars"]]})
 
     # Per-bucket writes, not write_parquet(partition_cols=...), which fans
     # every block into every bucket dir: blocks x buckets tiny files.
@@ -206,6 +221,153 @@ def commit_part(out_dir: str, run_id: str, part_id: int, staged_dir: str,
     _commit(out_dir, run_id, f"part={part_id}", staged_dir, manifest)
 
 
+def _table_stats(table) -> dict:
+    """``ok_count`` (rows whose ``status`` is "ok") and ``total_chars`` (the
+    sum of ``n_chars``) of an extracted table; 0 for a column it lacks."""
+    names = table.column_names
+    ok = chars = 0
+    if "status" in names:
+        ok = pc.sum(pc.cast(pc.equal(table.column("status"), "ok"),
+                            "int64")).as_py() or 0
+    if "n_chars" in names:
+        chars = pc.sum(table.column("n_chars")).as_py() or 0
+    return {"ok_count": ok, "total_chars": chars}
+
+
+def _batch_position() -> tuple:
+    """``(task index, batch number)`` of the calling Ray Data map task:
+    distinct for every batch of one execution, and the same again when Ray
+    retries the task (same task index, same batches in the same order);
+    ``()`` outside a Ray Data task."""
+    try:
+        from ray.data._internal.execution.interfaces.task_context import (
+            TaskContext,
+        )
+    except ImportError:
+        return ()
+    ctx = TaskContext.get_current()
+    if ctx is None:
+        return ()
+    seq = ctx.kwargs.get("stage_parts_batches", 0)
+    ctx.kwargs["stage_parts_batches"] = seq + 1
+    return (ctx.task_idx, seq)
+
+
+def _error_classes(errors) -> dict:
+    """Histogram of the ``Type`` prefix of in-band ``error`` strings
+    ("Type: message"); empty strings (ok rows) are not counted."""
+    return dict(collections.Counter(
+        e.split(":", 1)[0] for e in errors.to_pylist() if e))
+
+
+def stage_parts(batch, staging: str):
+    """The sharded sink's write-and-report step, run in the task that
+    extracted ``batch``.
+
+    ``batch`` is extracted rows plus the job's ``part`` (partition id) and
+    ``file`` (input file index) tags.  Each partition's rows are written,
+    without the tags, as one Parquet file of one row group under
+    ``staging/part=K/``, named by a digest of the batch's place in the
+    execution (``_batch_position``), its input files and the file's bytes:
+    a retried task rewrites the same file, and a stats row sent twice
+    carries the same ``file``, which is the key the driver counts by,
+    while two batches never share a name, even with identical rows.
+    Returns one stats row per file: ``part``, ``file``, ``row_count``,
+    ``ok_count``, ``total_chars``, ``html_bytes`` and ``error_classes`` (a
+    JSON ``{Type: count}``).  No part re-read."""
+    position = _batch_position()
+    rows = []
+    parts = batch.column("part")
+    for pid in pc.unique(parts).to_pylist():
+        group = batch.filter(pc.equal(parts, pid))
+        files = pc.unique(group.column("file")).to_pylist()
+        table = group.drop_columns(["part", "file"])
+        sink = pa.BufferOutputStream()
+        pq.write_table(table, sink, row_group_size=table.num_rows)
+        data = sink.getvalue()
+        digest = hashlib.blake2b(f"{pid}:{position}:{files}\0".encode(),
+                                 digest_size=16)
+        digest.update(data)
+        name = f"{digest.hexdigest()}.parquet"
+        part_dir = os.path.join(staging, f"part={pid}")
+        os.makedirs(part_dir, exist_ok=True)
+        with open(os.path.join(part_dir, name), "wb") as fh:
+            fh.write(data)
+        rows.append({
+            "part": pid, "file": name, "row_count": table.num_rows,
+            **_table_stats(table),
+            "html_bytes": pc.sum(table.column("html_bytes")).as_py() or 0,
+            "error_classes": json.dumps(
+                _error_classes(table.column("error"))),
+        })
+    return pa.Table.from_pylist(rows, schema=PART_STATS_SCHEMA)
+
+
+class PartLedger:
+    """The driver's side of the sharded sink: tallies ``stage_parts`` stats
+    rows per partition and commits partition K through ``commit_part`` as
+    soon as the rows reported for it reach the row count its input files'
+    footers declare.  The manifest is built from the stats rows alone.
+
+    A stats row whose ``file`` was already counted (a retried task sent it
+    again), or that names a partition already committed or never expected,
+    is ignored, so no row is counted twice and no partition commits twice.
+    """
+
+    def __init__(self, out_dir: str, run_id: str, extractor_version: str):
+        self.out_dir = out_dir
+        self.run_id = run_id
+        self.extractor_version = extractor_version
+        self.staging = os.path.join(out_dir, STAGING_DIR, run_id)
+        self.pending = {}       # part -> tally of its reported stats rows
+        self.committed = {}     # part -> committed row count
+
+    def expect(self, part: int, input_files: list, row_count: int) -> None:
+        """Register partition ``part``: ``row_count`` rows from
+        ``input_files``.  A partition with no rows commits at once."""
+        self.pending[part] = {
+            "input_files": input_files, "expected": row_count, "files": [],
+            "row_count": 0, "ok_count": 0, "total_chars": 0, "html_bytes": 0,
+            "error_classes": collections.Counter(),
+        }
+        if row_count == 0:
+            self._commit(part)
+
+    def report(self, row: dict) -> None:
+        """Count one stats row; commit its partition once complete."""
+        tally = self.pending.get(row["part"])
+        if tally is None or row["file"] in tally["files"]:
+            return
+        tally["files"].append(row["file"])
+        for key in ("row_count", "ok_count", "total_chars", "html_bytes"):
+            tally[key] += row[key]
+        tally["error_classes"].update(json.loads(row["error_classes"]))
+        if tally["row_count"] == tally["expected"]:
+            self._commit(row["part"])
+
+    def _commit(self, part: int) -> None:
+        tally = self.pending.pop(part)
+        rows = tally["row_count"]
+        staged = os.path.join(self.staging, f"part={part}")
+        os.makedirs(staged, exist_ok=True)   # a partition of empty files
+        commit_part(self.out_dir, self.run_id, part, staged, {
+            "part": part,
+            "input_files": tally["input_files"],
+            "row_range": [0, rows],
+            "extractor_version": self.extractor_version,
+            "run_id": self.run_id,
+            "committed_at_us": int(time.time() * 1e6),
+            "files": sorted(tally["files"]),
+            "row_count": rows,
+            "ok_count": tally["ok_count"],
+            "error_count": rows - tally["ok_count"],
+            "total_chars": tally["total_chars"],
+            "html_bytes": tally["html_bytes"],
+            "error_classes": dict(tally["error_classes"].most_common()),
+        })
+        self.committed[part] = rows
+
+
 def part_stats(part_dir: str) -> dict:
     """Lineage stats from the written files (footers + two thin columns)."""
     files = sorted(
@@ -215,9 +377,10 @@ def part_stats(part_dir: str) -> dict:
     rows = ok = chars = 0
     for f in files:
         rows += pq.read_metadata(f).num_rows
-        t = pq.read_table(f, columns=["status", "n_chars"], partitioning=None)
-        ok += pc.sum(pc.cast(pc.equal(t.column("status"), "ok"), "int64")).as_py() or 0
-        chars += pc.sum(t.column("n_chars")).as_py() or 0
+        stats = _table_stats(pq.read_table(f, columns=["status", "n_chars"],
+                                           partitioning=None))
+        ok += stats["ok_count"]
+        chars += stats["total_chars"]
     return {
         "files": [os.path.basename(f) for f in files],
         "row_count": rows,
