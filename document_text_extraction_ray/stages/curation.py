@@ -754,13 +754,8 @@ def novelty_scores(ds, id_column: str = "doc_id", text_column: str = "text",
         right_schema=pa.schema([(id_column, id_t), ("n_novel", id_t)]))
 
     def finish(t: pa.Table) -> pa.Table:
-        # cast first: a block whose docs all own nothing converts from
-        # pandas with n_novel all-null, i.e. typed null
-        nv = pc.cast(t.column("n_novel"), pa.int64())
-        return pa.table({
-            id_column: t.column(id_column),
-            "n_shingles": pc.cast(t.column("n_shingles"), pa.int64()),
-            "n_novel": pc.coalesce(nv, pa.scalar(0, pa.int64()))})
+        return t.set_column(2, "n_novel", pc.coalesce(
+            t.column("n_novel"), pa.scalar(0, pa.int64())))
 
     return joined.map_batches(finish, batch_format="pyarrow")
 

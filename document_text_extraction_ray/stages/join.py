@@ -1,17 +1,28 @@
 """Distributed joins, Ray-Data-native (SURVEY.md §2.5 — the reference has no
 joins; these are the engine additions a real pipeline needs).
 
-One equi-join kernel, plus a broadcast form for small sides (ray_guide
-"Joins and lookups"):
-  * broadcast_join — small side materialized once, ``ray.put``, merged into
-    every batch with a pandas merge.  No shuffle.  Use when one side fits in
-    a worker's heap (dimension tables, vocabularies).
+Every equi-join folds in Arrow through one kernel, ``_local_join``:
+``Table.join`` over the key columns plus a row index per side, then a
+``take`` of each side's payload into the declared output schema.  The row
+index is there because pyarrow refuses struct and list columns as non-key
+join fields; ``take`` carries any type, and the cast into the declared
+schema gives every output block the same exact types (an all-null int
+column stays int, a bucket with no match keeps its columns).  Arrow's join
+has SQL null keys: a null key, or a key tuple with a null, matches nothing.
+
+  * broadcast_join — small side converted to Arrow once, ``ray.put``, and
+    joined into every batch.  No shuffle.  Use when one side fits in a
+    worker's heap (dimension tables, vocabularies).
   * partitioned_hash_join — both sides large: add ``__jbucket = hash(key) % B``
-    to each side, tag provenance, align schemas with typed nulls, union, one
-    ``bucket_exchange`` on the bucket id, and merge the two sides of each
-    bucket in its fold.  Exactly one shuffle of each side; B sized so a bucket
-    pair fits in one task.  Salt hot keys upstream when a single key
-    dominates.  ``semi_join`` and ``anti_join`` are its filtering siblings.
+    to each side, tag provenance, cast both to one union schema with typed
+    nulls, union, one ``bucket_exchange`` on the bucket id, and
+    ``_local_join`` the two sides of each bucket in its fold.  Exactly one
+    shuffle of each side; B sized so a bucket pair fits in one task.  Salt
+    hot keys upstream when a single key dominates.  ``semi_join`` and
+    ``anti_join`` are its filtering siblings.
+  * asof_join, range_join, interval_overlap_join — the same exchange, with
+    ``Table.join_asof`` or banded ``searchsorted`` index math per bucket
+    and the same ``take`` into the declared schema.
 
 Ray's own ``Dataset.join`` is not used: its hash-shuffle aggregator actors
 never finish at ``num_cpus=1``, even for a 7x7-row join.
@@ -22,31 +33,82 @@ from __future__ import annotations
 import zlib
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
 from .exchange import bucket_exchange
 
+_HOW = {"inner": "inner", "left": "left outer", "outer": "full outer"}
 
-def broadcast_join(
-    ds,
-    small: pd.DataFrame,
-    on: str,
-    how: str = "inner",
-    suffix: str = "_r",
-):
-    """Join a Dataset against a small in-memory table (broadcast, no shuffle)."""
+
+def _keys(on) -> list:
+    return [on] if isinstance(on, str) else list(on)
+
+
+def _rows(t: pa.Table) -> pa.Array:
+    return pa.array(np.arange(t.num_rows, dtype=np.int64))
+
+
+def _gather(out_schema: pa.Schema, lhs: pa.Table, li, rhs: pa.Table, ri,
+            keys: pa.Table = None) -> pa.Table:
+    """``out_schema``'s columns, each cast to its declared type: a join key
+    from ``keys`` (coalesced for a full outer join), else the left's rows
+    at ``li``, else the right's at ``ri`` (a null index, an unmatched row,
+    takes a null)."""
+    cols = []
+    for f in out_schema:
+        if keys is not None and f.name in keys.column_names:
+            col = keys.column(f.name)
+        elif f.name in lhs.column_names:
+            col = lhs.column(f.name).take(li)
+        else:
+            col = rhs.column(f.name).take(ri)
+        cols.append(col.cast(f.type))
+    return pa.Table.from_arrays(cols, schema=out_schema)
+
+
+def _local_join(lhs: pa.Table, rhs: pa.Table, on, how: str,
+                out_schema: pa.Schema, right_on=None) -> pa.Table:
+    """Equi-join two Arrow tables into exactly ``out_schema`` (``how``:
+    'inner', 'left' or 'outer').  ``Table.join`` sees only the key columns
+    (the right's, ``right_on`` when named differently, cast to the left's
+    key types) and a row index per side; every other column is taken by
+    that index (``_gather``), so nested payloads join too."""
+    on = _keys(on)
+    right_on = on if right_on is None else _keys(right_on)
+    lk = pa.Table.from_arrays([*(lhs.column(c) for c in on), _rows(lhs)],
+                              names=[*on, "__lrow"])
+    rk = pa.Table.from_arrays(
+        [*(rhs.column(r).cast(lk.schema.field(c).type)
+           for c, r in zip(on, right_on)), _rows(rhs)],
+        names=[*on, "__rrow"])
+    j = lk.join(rk, on, join_type=_HOW[how])
+    return _gather(out_schema, lhs, j.column("__lrow"), rhs,
+                   j.column("__rrow"), j.select(on))
+
+
+def broadcast_join(ds, small, on, how: str = "inner", suffix: str = "_r"):
+    """Join a Dataset against a small in-memory table (a pandas DataFrame
+    or an Arrow table; broadcast, no shuffle).  ``small`` goes to Arrow
+    once before ``ray.put``; each batch joins it with ``_local_join``, so
+    null keys never match.  Its non-key columns that the batch also has
+    get ``suffix``."""
+    on_cols = _keys(on)
+    if not isinstance(small, pa.Table):
+        small = pa.Table.from_pandas(small, preserve_index=False)
     small_ref = ray.put(small)
 
-    def _merge(batch: pd.DataFrame) -> pd.DataFrame:
+    def _join(batch: pa.Table) -> pa.Table:
         rhs = ray.get(small_ref)
-        return batch.merge(rhs, on=on, how=how, suffixes=("", suffix))
+        rhs = rhs.rename_columns([
+            c + suffix if c in batch.column_names and c not in on_cols else c
+            for c in rhs.column_names])
+        out_schema = pa.schema(
+            [*batch.schema, *(f for f in rhs.schema if f.name not in on_cols)])
+        return _local_join(batch, rhs, on_cols, how, out_schema)
 
-    return ds.map_batches(_merge, batch_format="pandas")
-
-
+    return ds.map_batches(_join, batch_format="pyarrow")
 def _arrow_schema(ds) -> pa.Schema:
     """Robust schema fetch: pandas-block datasets report a PandasBlockSchema
     (names + numpy dtypes), not a pyarrow Schema."""
@@ -130,34 +192,44 @@ def _bucket_array_multi(tbl: pa.Table, on_cols, n_buckets: int) -> np.ndarray:
     return (h % np.uint64(n_buckets)).astype(np.int32)
 
 
-def _typed_empty(names, arrow_types: dict) -> pd.DataFrame:
-    """Typed empty frame: an untyped pd.DataFrame(columns=...) defaults
-    every column to object dtype and poisons the output schema when Ray
-    unifies it with non-empty blocks (ADVICE r2/r3)."""
-    cols = {}
-    for name in names:
-        t = arrow_types[name]
-        if pa.types.is_string(t) or pa.types.is_large_string(t):
-            # object-dtype empties trip Ray's block size estimator
-            # (np.vectorize on size-0 input logs an error per block);
-            # pandas' string dtype round-trips to Arrow string cleanly.
-            cols[name] = pd.Series(dtype="string")
-            continue
-        try:
-            cols[name] = pd.Series(dtype=t.to_pandas_dtype())
-        except (NotImplementedError, TypeError):
-            cols[name] = pd.Series(dtype=object)
-    return pd.DataFrame(cols)
+
+def _conform(batch: pa.Table, schema: pa.Schema) -> pa.Table:
+    """``batch`` in ``schema``: a column it lacks is all null and every
+    column is cast to its declared type (Ray types an all-None column
+    ``null``), so every block entering an exchange has one schema."""
+    return pa.Table.from_arrays(
+        [batch.column(f.name).cast(f.type) if f.name in batch.column_names
+         else pa.nulls(batch.num_rows, f.type) for f in schema],
+        schema=schema)
 
 
-def _int_casts(df: pd.DataFrame, dtypes: dict) -> dict:
-    """``astype`` map restoring the int columns ``dtypes`` names in ``df``:
-    the numpy int dtype, or pandas' nullable int of the same width (Arrow:
-    the same int type with nulls) for a column that holds a real null."""
-    return {
-        k: pd.array(np.empty(0, v)).dtype if df[k].isna().any() else v
-        for k, v in dtypes.items() if k in df.columns
-    }
+def _tag(t: pa.Table, buckets: np.ndarray, side: int, band=None) -> pa.Table:
+    """``t`` plus the exchange's bucket id and side tag (and, for the
+    banded joins, each row's band)."""
+    if band is not None:
+        t = t.append_column("__cband", pa.array(band, pa.int64()))
+    t = t.append_column("__jbucket", pa.array(buckets, pa.int32()))
+    return t.append_column(
+        "__jside", pa.array(np.full(t.num_rows, side, np.int8), pa.int8()))
+
+
+def _sides(g: pa.Table, left_names, right_names):
+    """One bucket's left rows (``__jside`` 0) and right rows (1)."""
+    side = g.column("__jside")
+    return (g.filter(pc.equal(side, 0)).select(left_names),
+            g.filter(pc.equal(side, 1)).select(right_names))
+
+
+def _ints(col) -> np.ndarray:
+    return col.to_numpy().astype(np.int64, copy=False)
+
+
+def _expand(counts: np.ndarray):
+    """Row ``i`` repeated ``counts[i]`` times: per output row its source
+    row and its rank among that row's repeats (the arange/repeat trick)."""
+    src = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    starts = np.cumsum(counts) - counts
+    return src, np.arange(len(src), dtype=np.int64) - starts[src]
 
 
 def partitioned_hash_join(
@@ -177,114 +249,73 @@ def partitioned_hash_join(
     Deterministic bucket = Knuth multiplicative hash (ints) / crc32
     (strings) mod B, per-column hashes prime-mixed for composites.  Each
     side is shuffled exactly once; a bucket's two sides meet in a single
-    fold call (``exchange.bucket_exchange``).  ``how`` supports 'inner',
-    'left' and 'outer' (FULL OUTER — exact per bucket because equal key
-    tuples land in the same bucket on both sides, so a row unmatched in its
-    bucket is unmatched globally; null keys never equi-match — a tuple with
-    ANY null component matches nothing, SQL semantics).
+    fold call (``exchange.bucket_exchange``), which ``_local_join``s them.
+    ``how`` supports 'inner', 'left' and 'outer' (FULL OUTER — exact per
+    bucket because equal key tuples land in the same bucket on both sides,
+    so a row unmatched in its bucket is unmatched globally; null keys
+    never equi-match — a tuple with ANY null component matches nothing,
+    SQL semantics).  Every output block has the declared schema: the
+    left's columns, then the right's non-key columns (suffixed where the
+    left has the name), with the declared types.
 
     Pass ``left_schema``/``right_schema`` (pyarrow) when a side sits behind
     map_batches: ``Dataset.schema()`` on such a side executes its upstream
     lineage for one block and the join then re-executes it — an avoidable
     full extra pass (profiled).
     """
-    on_cols = [on] if isinstance(on, str) else list(on)
+    on_cols = _keys(on)
     left_schema = left_schema or _arrow_schema(left)
     right_schema = right_schema or _arrow_schema(right)
-    left_cols = [n for n in left_schema.names]
-    right_cols = [n for n in right_schema.names]
+    left_cols = list(left_schema.names)
     # Disambiguate overlapping non-key columns up front (suffix on the right).
     renamed_right = {
         n: (n + suffix if (n in left_cols and n not in on_cols) else n)
-        for n in right_cols
+        for n in right_schema.names
     }
-    all_fields = {}
-    for f in left_schema:
-        all_fields[f.name] = f.type
+    all_fields = {f.name: f.type for f in left_schema}
     for f in right_schema:
-        name = renamed_right[f.name]
-        if name not in all_fields:
-            all_fields[name] = f.type
-    union_names = list(all_fields)
+        all_fields.setdefault(renamed_right[f.name], f.type)
+    union = pa.schema(list(all_fields.items()))
 
     def pad(batch: pa.Table, side: int) -> pa.Table:
-        n = batch.num_rows
         if side == 1:
-            batch = batch.rename_columns([renamed_right[c] for c in batch.column_names])
-        cols = {}
-        for name in union_names:
-            if name in batch.column_names:
-                cols[name] = batch.column(name)
-            else:
-                cols[name] = pa.nulls(n, type=all_fields[name])
-        out = pa.table(cols)
-        out = out.append_column(
-            "__jbucket", pa.array(_bucket_array_multi(out, on_cols, n_buckets),
-                                  pa.int32())
-        )
-        return out.append_column(
-            "__jside", pa.array(np.full(n, side, dtype=np.int8), pa.int8())
-        )
+            batch = batch.rename_columns(
+                [renamed_right[c] for c in batch.column_names])
+        t = _conform(batch, union)
+        return _tag(t, _bucket_array_multi(t, on_cols, n_buckets), side)
 
     tagged = left.map_batches(lambda b: pad(b, 0), batch_format="pyarrow").union(
         right.map_batches(lambda b: pad(b, 1), batch_format="pyarrow")
     )
 
-    right_out = [renamed_right[c] for c in right_cols
+    right_out = [renamed_right[c] for c in right_schema.names
                  if renamed_right[c] not in on_cols]
-    out_names = left_cols + right_out
-    # Null padding promotes int columns to float in pandas; once a side's own
-    # rows are isolated, cast them back (``_int_casts``).
-    left_dtypes = {
-        f.name: f.type.to_pandas_dtype() for f in left_schema
-        if pa.types.is_integer(f.type)
-    }
-    right_dtypes = {
-        renamed_right[f.name]: f.type.to_pandas_dtype() for f in right_schema
-        if pa.types.is_integer(f.type)
-    }
+    out_schema = pa.schema([(n, all_fields[n]) for n in left_cols + right_out])
 
-    def join_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        lhs = g[g["__jside"] == 0][left_cols]
-        rhs = g[g["__jside"] == 1][on_cols + right_out]
-        # Null keys never equi-match (SQL semantics; pandas would match
-        # NaN == NaN): drop them from the right for inner/left (kept
-        # unmatched on the right for outer), and from the left for inner
-        # joins (kept unmatched for left/outer — pandas NaN keys merge to
-        # no match once the other side has none, which is correct).
-        rhs_keyed = rhs[on_cols].notna().all(axis=1)
-        rhs_nullkey = rhs[~rhs_keyed] if how == "outer" else None
-        rhs = rhs[rhs_keyed]
-        if how == "inner":
-            lhs = lhs[lhs[on_cols].notna().all(axis=1)]
-        lhs = lhs.astype({
-            k: v for k, v in _int_casts(lhs, left_dtypes).items()
-            if not (k in on_cols and lhs[k].isna().any())
-        })
-        rhs = rhs.astype(_int_casts(rhs, right_dtypes))
-        if lhs.empty and (rhs.empty or how != "outer"):
-            return _typed_empty(out_names, all_fields)
-        if rhs.empty and how == "inner":
-            return _typed_empty(out_names, all_fields)
-        out = lhs.merge(rhs, on=on_cols, how=how)
-        if out.empty and (rhs_nullkey is None or not len(rhs_nullkey)):
-            # an empty MERGE RESULT carries object dtypes too (same
-            # size-estimator noise as untyped empties) — re-type it
-            return _typed_empty(out_names, all_fields)
-        if how == "outer" and rhs_nullkey is not None and len(rhs_nullkey):
-            # Right rows with a null key survive a FULL OUTER join
-            # unmatched; re-append them with left columns null.
-            out = pd.concat([out, rhs_nullkey], ignore_index=True)
-        if how == "outer":
-            # Unmatched rows null-pad the other side; keep integer columns
-            # integer via pandas' nullable Int64 (Arrow: int64 with nulls)
-            # so block schemas stay identical across buckets.
-            for k in list(left_dtypes) + list(right_dtypes):
-                if k in out.columns and out[k].dtype == np.float64:
-                    out[k] = out[k].astype("Int64")
-        return out
+    def join_bucket(g: pa.Table) -> pa.Table:
+        lhs, rhs = _sides(g, left_cols, on_cols + right_out)
+        return _local_join(lhs, rhs, on_cols, how, out_schema)
 
-    return bucket_exchange(tagged, "__jbucket", n_buckets, join_bucket, "pandas")
+    return bucket_exchange(tagged, "__jbucket", n_buckets, join_bucket,
+                           "pyarrow")
+
+
+_UNITS = ("s", "ms", "us", "ns")
+
+
+def _asof_ticks(a, b):
+    """Two as-of time columns as comparable int64 ticks, both shifted so
+    the smallest is 0: timestamps in the finer unit of the two (parquet µs
+    meets a groupby's s), ints as they are.  The shift is needed: Arrow's
+    ``join_asof`` misorders negative keys (a right key of -1 hid every
+    right row after it)."""
+    if pa.types.is_timestamp(a.type) and pa.types.is_timestamp(b.type):
+        unit = max(a.type.unit, b.type.unit, key=_UNITS.index)
+        a = a.cast(pa.timestamp(unit, a.type.tz))
+        b = b.cast(pa.timestamp(unit, b.type.tz))
+    a, b = a.cast(pa.int64()), b.cast(pa.int64())
+    lo = min(pc.min(a).as_py(), pc.min(b).as_py())
+    return pc.subtract_checked(a, lo), pc.subtract_checked(b, lo)
 
 
 def asof_join(
@@ -299,14 +330,17 @@ def asof_join(
 ):
     """As-of join (backward): for each left row, the latest right row with
     ``right_on <= left_on`` within the same ``by`` key.  Inner semantics
-    (left rows with no match are dropped) — DuckDB's ``ASOF JOIN``.
+    (left rows with no match are dropped, and so are rows whose ``by`` or
+    time is null) — DuckDB's ``ASOF JOIN``.
 
     Physical plan: bucket both sides on the ``by`` key (one shuffle each),
-    then ``pd.merge_asof`` per bucket over time-sorted frames (ray_guide
-    "As-of / range join").  The right side must be unique per
-    (by, right_on) — pre-aggregate upstream for deterministic output.
-    Pass explicit schemas for map_batches-derived sides (see
-    partitioned_hash_join).
+    then per bucket one ``Table.join_asof`` over the ``by`` key, the two
+    time columns as int64 ticks (``_asof_ticks``) and a row index per side,
+    whose matches ``take`` the payload into the declared schema (the
+    left's columns, then the right's that the left lacks).  The right side
+    must be unique per (by, right_on) — pre-aggregate upstream for
+    deterministic output.  Pass explicit schemas for map_batches-derived
+    sides (see partitioned_hash_join).
     """
     left_schema = left_schema or _arrow_schema(left)
     right_schema = right_schema or _arrow_schema(right)
@@ -314,64 +348,74 @@ def asof_join(
     right_cols = list(right_schema.names)
     all_fields = {f.name: f.type for f in left_schema}
     for f in right_schema:
-        if f.name not in all_fields:
-            all_fields[f.name] = f.type
-    union_names = list(all_fields)
+        all_fields.setdefault(f.name, f.type)
+    union = pa.schema(list(all_fields.items()))
+    out_schema = pa.schema([
+        (n, all_fields[n])
+        for n in left_cols + [c for c in right_cols if c not in left_cols]])
 
     def pad(batch: pa.Table, side: int) -> pa.Table:
-        n = batch.num_rows
-        cols = {}
-        for name in union_names:
-            if name in batch.column_names:
-                cols[name] = batch.column(name)
-            else:
-                cols[name] = pa.nulls(n, type=all_fields[name])
-        out = pa.table(cols)
-        out = out.append_column(
-            "__jbucket", pa.array(_bucket_array(out.column(by), n_buckets), pa.int32())
-        )
-        return out.append_column(
-            "__jside", pa.array(np.full(n, side, dtype=np.int8), pa.int8())
-        )
+        t = _conform(batch, union)
+        return _tag(t, _bucket_array(t.column(by), n_buckets), side)
 
     tagged = left.map_batches(lambda b: pad(b, 0), batch_format="pyarrow").union(
         right.map_batches(lambda b: pad(b, 1), batch_format="pyarrow")
     )
 
-    int_back_l = {
-        f.name: f.type.to_pandas_dtype() for f in left_schema
-        if pa.types.is_integer(f.type)
-    }
-    int_back_r = {
-        f.name: f.type.to_pandas_dtype() for f in right_schema
-        if pa.types.is_integer(f.type)
-    }
-    out_cols = left_cols + [c for c in right_cols if c not in left_cols]
+    def keyed(t: pa.Table, on: str) -> pa.Table:
+        return t.filter(pc.and_(pc.is_valid(t.column(by)),
+                                pc.is_valid(t.column(on))))
 
-    def join_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        lhs = g[g["__jside"] == 0][left_cols].astype(int_back_l)
-        rhs = g[g["__jside"] == 1][right_cols].astype(int_back_r)
-        if lhs.empty or rhs.empty:
-            return pd.DataFrame(columns=out_cols)
-        # Normalize datetime resolution (parquet us vs groupby-output s).
-        if np.issubdtype(lhs[left_on].dtype, np.datetime64):
-            lhs[left_on] = lhs[left_on].astype("datetime64[us]")
-        if np.issubdtype(rhs[right_on].dtype, np.datetime64):
-            rhs[right_on] = rhs[right_on].astype("datetime64[us]")
-        lhs = lhs.sort_values(left_on, kind="mergesort")
-        rhs = rhs.sort_values(right_on, kind="mergesort")
-        merged = pd.merge_asof(
-            lhs, rhs, left_on=left_on, right_on=right_on,
-            left_by=by, right_by=by, direction="backward",
-        )
-        merged = merged.dropna(subset=[right_on])  # inner semantics
-        # merge_asof leaves right ints as float when some rows unmatched.
-        for c, dt in int_back_r.items():
-            if c in merged.columns:
-                merged[c] = merged[c].astype(dt)
-        return merged[out_cols]
+    def join_bucket(g: pa.Table) -> pa.Table:
+        lhs, rhs = _sides(g, left_cols, right_cols)
+        lhs, rhs = keyed(lhs, left_on), keyed(rhs, right_on)
+        if not (lhs.num_rows and rhs.num_rows):
+            return out_schema.empty_table()
+        lt, rt = _asof_ticks(lhs.column(left_on), rhs.column(right_on))
+        lk = pa.table({by: lhs.column(by), "__t": lt, "__lrow": _rows(lhs)})
+        rk = pa.table({by: rhs.column(by), "__t": rt, "__rrow": _rows(rhs)})
+        j = lk.sort_by("__t").join_asof(rk.sort_by("__t"), "__t", by,
+                                        -(2 ** 63 - 1))
+        j = j.filter(pc.is_valid(j.column("__rrow")))
+        return _gather(out_schema, lhs, j.column("__lrow"), rhs,
+                       j.column("__rrow"), j.select([by]))
 
-    return bucket_exchange(tagged, "__jbucket", n_buckets, join_bucket, "pandas")
+    return bucket_exchange(tagged, "__jbucket", n_buckets, join_bucket,
+                           "pyarrow")
+
+
+def _banded(batch: pa.Table, lo: str, hi: str, schema: pa.Schema,
+            width: int, n_buckets: int, side: int) -> pa.Table:
+    """``batch``'s rows whose ``lo`` and ``hi`` are both set, each
+    REPLICATED to every band ``floor(x / width)`` that ``[lo, hi]`` touches
+    (an inverted interval to its lo band only; a point, ``lo == hi``, to
+    its own band), conformed to ``schema`` and tagged for the exchange on
+    hash(band)."""
+    batch = batch.filter(pc.and_(pc.is_valid(batch.column(lo)),
+                                 pc.is_valid(batch.column(hi))))
+    l, h = _ints(batch.column(lo)), _ints(batch.column(hi))
+    first = np.floor_divide(l, width)
+    src, rank = _expand(np.floor_divide(np.maximum(h, l), width) - first + 1)
+    band = first[src] + rank
+    t = _conform(batch.take(pa.array(src)), schema)
+    return _tag(t, _bucket_array(pa.array(band), n_buckets), side, band)
+
+
+_PAIR = np.dtype([("band", np.int64), ("v", np.int64)])
+
+
+def _band_pairs(band, v, q_band, q_lo, q_hi):
+    """(row, query) index pairs: the rows of a table sorted by (band, v)
+    that sit in the query's band with ``q_lo <= v <= q_hi`` — two
+    lexicographic ``searchsorted`` per query, then the arange/repeat
+    expansion; no per-pair Python and no per-band loop."""
+    keys = np.rec.fromarrays([band, v], dtype=_PAIR)
+    a = np.searchsorted(keys, np.rec.fromarrays([q_band, q_lo], dtype=_PAIR),
+                        "left")
+    b = np.searchsorted(keys, np.rec.fromarrays([q_band, q_hi], dtype=_PAIR),
+                        "right")
+    q, rank = _expand(np.maximum(b - a, 0))  # inverted intervals: nothing
+    return a[q] + rank, q
 
 
 def range_join(
@@ -400,10 +444,12 @@ def range_join(
          interval length (giant intervals replicate proportionally; they are
          the hot keys of this operator and should be routed separately);
       3. both sides exchange once on ``hash(cb) % n_buckets``; inside a
-         task the match is per-band vectorized: points sorted once, each
-         interval expands to its ``searchsorted(lo) .. searchsorted(hi)``
-         slice via the arange/repeat trick — no per-pair Python, no
-         cartesian blowup beyond the true output size.
+         task the match is vectorized: points sorted once by (band, point),
+         each interval replica expands to its ``searchsorted`` slice of its
+         band (``_band_pairs``) — no per-pair Python, no cartesian blowup
+         beyond the true output size; the pairs ``take`` both sides into
+         the declared schema (points' columns, then the intervals', suffixed
+         where the points have the name).
     A (point, interval) pair is emitted EXACTLY once: only the interval
     replica whose band equals the point's band can produce it, and a point
     inside ``[lo, hi]`` always lands in one of the interval's bands.
@@ -419,127 +465,37 @@ def range_join(
         n: (n + suffix if n in p_cols else n) for n in interval_schema.names
     }
     i_cols = [renamed_i[n] for n in interval_schema.names]
-    all_fields = {f.name: f.type for f in point_schema}
-    for f in interval_schema:
-        all_fields[renamed_i[f.name]] = f.type
-    union_names = list(all_fields)
+    union = pa.schema([*point_schema, *(
+        pa.field(renamed_i[f.name], f.type) for f in interval_schema)])
     lo_out, hi_out = renamed_i[lo_col], renamed_i[hi_col]
-    out_cols = p_cols + i_cols
 
     def pad_points(batch: pa.Table) -> pa.Table:
-        batch = batch.filter(pc.is_valid(batch.column(point_on)))
-        p = batch.column(point_on).to_numpy(zero_copy_only=False).astype(np.int64)
-        cb = np.floor_divide(p, bucket_width)
-        cols = {}
-        for name in union_names:
-            if name in batch.column_names:
-                cols[name] = batch.column(name)
-            else:
-                cols[name] = pa.nulls(batch.num_rows, type=all_fields[name])
-        out = pa.table(cols)
-        out = out.append_column("__cband", pa.array(cb, pa.int64()))
-        out = out.append_column(
-            "__jbucket",
-            pa.array(_bucket_array(pa.chunked_array([pa.array(cb)]), n_buckets),
-                     pa.int32()))
-        return out.append_column(
-            "__jside", pa.array(np.zeros(out.num_rows, np.int8), pa.int8()))
+        return _banded(batch, point_on, point_on, union, bucket_width,
+                       n_buckets, 0)
 
     def pad_intervals(batch: pa.Table) -> pa.Table:
         batch = batch.rename_columns(
             [renamed_i[c] for c in batch.column_names])
-        ok = pc.and_(pc.is_valid(batch.column(lo_out)),
-                     pc.is_valid(batch.column(hi_out)))
-        batch = batch.filter(ok)
-        lo = batch.column(lo_out).to_numpy(zero_copy_only=False).astype(np.int64)
-        hi = batch.column(hi_out).to_numpy(zero_copy_only=False).astype(np.int64)
-        cb_lo = np.floor_divide(lo, bucket_width)
-        cb_hi = np.floor_divide(np.maximum(hi, lo), bucket_width)
-        counts = cb_hi - cb_lo + 1
-        total = int(counts.sum())
-        # Replica r of interval i targets band cb_lo[i] + r (arange trick).
-        starts = np.cumsum(counts) - counts
-        bands = (np.arange(total, dtype=np.int64)
-                 - np.repeat(starts, counts)
-                 + np.repeat(cb_lo, counts))
-        src = np.repeat(np.arange(len(lo), dtype=np.int64), counts)
-        rep = batch.take(pa.array(src))
-        cols = {}
-        for name in union_names:
-            if name in rep.column_names:
-                cols[name] = rep.column(name)
-            else:
-                cols[name] = pa.nulls(total, type=all_fields[name])
-        out = pa.table(cols)
-        out = out.append_column("__cband", pa.array(bands, pa.int64()))
-        out = out.append_column(
-            "__jbucket",
-            pa.array(_bucket_array(pa.chunked_array([pa.array(bands)]),
-                                   n_buckets), pa.int32()))
-        return out.append_column(
-            "__jside", pa.array(np.ones(total, np.int8), pa.int8()))
+        return _banded(batch, lo_out, hi_out, union, bucket_width,
+                       n_buckets, 1)
 
     tagged = points.map_batches(pad_points, batch_format="pyarrow").union(
         intervals.map_batches(pad_intervals, batch_format="pyarrow")
     )
 
-    int_back_p = {
-        f.name: f.type.to_pandas_dtype() for f in point_schema
-        if pa.types.is_integer(f.type)
-    }
-    int_back_i = {
-        renamed_i[f.name]: f.type.to_pandas_dtype() for f in interval_schema
-        if pa.types.is_integer(f.type)
-    }
-
-    def typed_empty() -> pd.DataFrame:
-        # Typed empty: an untyped pd.DataFrame(columns=...) defaults every
-        # column to object/float64 and poisons the output schema (ADVICE r2).
-        cols = {}
-        for name in out_cols:
-            try:
-                cols[name] = pd.Series(dtype=all_fields[name].to_pandas_dtype())
-            except (NotImplementedError, TypeError):
-                cols[name] = pd.Series(dtype=object)
-        return pd.DataFrame(cols)
-
-    def match_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        pts = g[g["__jside"] == 0]
-        ivs = g[g["__jside"] == 1]
-        if pts.empty or ivs.empty:
-            return typed_empty()
-        pts = pts.astype(int_back_p).sort_values(
-            ["__cband", point_on], kind="mergesort")
-        ivs = ivs.astype(int_back_i)
-        out_parts = []
-        p_by_band = dict(tuple(pts.groupby("__cband", sort=False)))
-        for band, iv in ivs.groupby("__cband", sort=False):
-            pb = p_by_band.get(band)
-            if pb is None:
-                continue
-            pv = pb[point_on].to_numpy()
-            lo = iv[lo_out].to_numpy()
-            hi = iv[hi_out].to_numpy()
-            a = np.searchsorted(pv, lo, side="left")
-            b = np.searchsorted(pv, hi, side="right")
-            counts = np.maximum(b - a, 0)  # inverted intervals match nothing
-            a = np.minimum(a, len(pv))
-            total = int(counts.sum())
-            if total == 0:
-                continue
-            starts = np.cumsum(counts) - counts
-            p_idx = (np.arange(total, dtype=np.int64)
-                     - np.repeat(starts, counts) + np.repeat(a, counts))
-            i_idx = np.repeat(np.arange(len(iv), dtype=np.int64), counts)
-            part = pb.iloc[p_idx][p_cols].reset_index(drop=True)
-            part[i_cols] = iv.iloc[i_idx][i_cols].reset_index(drop=True)
-            out_parts.append(part)
-        if not out_parts:
-            return typed_empty()
-        return pd.concat(out_parts, ignore_index=True)[out_cols]
+    def match_bucket(g: pa.Table) -> pa.Table:
+        pts, ivs = _sides(g, ["__cband", *p_cols], ["__cband", *i_cols])
+        pts = pts.sort_by([("__cband", "ascending"),
+                           (point_on, "ascending")])
+        p, i = _band_pairs(_ints(pts.column("__cband")),
+                           _ints(pts.column(point_on)),
+                           _ints(ivs.column("__cband")),
+                           _ints(ivs.column(lo_out)),
+                           _ints(ivs.column(hi_out)))
+        return _gather(union, pts, p, ivs, i)
 
     return bucket_exchange(tagged, "__jbucket", n_buckets, match_bucket,
-                           "pandas")
+                           "pyarrow")
 
 
 def interval_overlap_join(
@@ -569,9 +525,11 @@ def interval_overlap_join(
          ``len/W + 1`` — pick ``bucket_width`` near the LONGER side's
          typical length);
       2. one exchange of each side on ``hash(band) % n_buckets``;
-      3. inside a band the match is vectorized (left sorted by lo once,
-         per-right ``searchsorted`` prefix + arange/repeat expansion,
-         boolean overlap mask);
+      3. inside a bucket the match is vectorized (left sorted by (band, lo)
+         once, per-right ``searchsorted`` prefix of its band + arange/repeat
+         expansion, boolean overlap mask), and the pairs ``take`` both
+         sides into the declared schema (the left's columns, then the
+         right's, suffixed where the left has the name);
       4. a true pair is emitted EXACTLY once: only in the band containing
          ``max(left_lo, right_lo)`` — that point lies inside both
          intervals whenever they overlap, so both replicas exist there,
@@ -589,119 +547,38 @@ def interval_overlap_join(
         n: (n + suffix if n in l_cols else n) for n in right_schema.names
     }
     r_cols = [renamed_r[n] for n in right_schema.names]
-    all_fields = {f.name: f.type for f in left_schema}
-    for f in right_schema:
-        all_fields[renamed_r[f.name]] = f.type
-    union_names = list(all_fields)
+    union = pa.schema([*left_schema, *(
+        pa.field(renamed_r[f.name], f.type) for f in right_schema)])
     rlo_out, rhi_out = renamed_r[right_lo], renamed_r[right_hi]
-    out_cols = l_cols + r_cols
-
-    def replicate(batch: pa.Table, lo_name: str, hi_name: str,
-                  side: int) -> pa.Table:
-        ok = pc.and_(pc.is_valid(batch.column(lo_name)),
-                     pc.is_valid(batch.column(hi_name)))
-        batch = batch.filter(ok)
-        lo = batch.column(lo_name).to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        hi = batch.column(hi_name).to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        cb_lo = np.floor_divide(lo, bucket_width)
-        cb_hi = np.floor_divide(np.maximum(hi, lo), bucket_width)
-        counts = cb_hi - cb_lo + 1
-        total = int(counts.sum())
-        starts = np.cumsum(counts) - counts
-        bands = (np.arange(total, dtype=np.int64)
-                 - np.repeat(starts, counts)
-                 + np.repeat(cb_lo, counts))
-        src = np.repeat(np.arange(len(lo), dtype=np.int64), counts)
-        rep = batch.take(pa.array(src))
-        cols = {}
-        for name in union_names:
-            if name in rep.column_names:
-                cols[name] = rep.column(name)
-            else:
-                cols[name] = pa.nulls(total, type=all_fields[name])
-        out = pa.table(cols)
-        out = out.append_column("__cband", pa.array(bands, pa.int64()))
-        out = out.append_column(
-            "__jbucket",
-            pa.array(_bucket_array(pa.chunked_array([pa.array(bands)]),
-                                   n_buckets), pa.int32()))
-        return out.append_column(
-            "__jside", pa.array(np.full(total, side, np.int8), pa.int8()))
 
     def pad_left(batch: pa.Table) -> pa.Table:
-        return replicate(batch, left_lo, left_hi, 0)
+        return _banded(batch, left_lo, left_hi, union, bucket_width,
+                       n_buckets, 0)
 
     def pad_right(batch: pa.Table) -> pa.Table:
         batch = batch.rename_columns(
             [renamed_r[c] for c in batch.column_names])
-        return replicate(batch, rlo_out, rhi_out, 1)
+        return _banded(batch, rlo_out, rhi_out, union, bucket_width,
+                       n_buckets, 1)
 
     tagged = left.map_batches(pad_left, batch_format="pyarrow").union(
         right.map_batches(pad_right, batch_format="pyarrow"))
 
-    int_back_l = {
-        f.name: f.type.to_pandas_dtype() for f in left_schema
-        if pa.types.is_integer(f.type)
-    }
-    int_back_r = {
-        renamed_r[f.name]: f.type.to_pandas_dtype() for f in right_schema
-        if pa.types.is_integer(f.type)
-    }
-
-    def typed_empty() -> pd.DataFrame:
-        cols = {}
-        for name in out_cols:
-            try:
-                cols[name] = pd.Series(
-                    dtype=all_fields[name].to_pandas_dtype())
-            except (NotImplementedError, TypeError):
-                cols[name] = pd.Series(dtype=object)
-        return pd.DataFrame(cols)
-
-    def match_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        ls = g[g["__jside"] == 0]
-        rs = g[g["__jside"] == 1]
-        if ls.empty or rs.empty:
-            return typed_empty()
-        ls = ls.astype(int_back_l).sort_values(
-            ["__cband", left_lo], kind="mergesort")
-        rs = rs.astype(int_back_r)
-        out_parts = []
-        l_by_band = dict(tuple(ls.groupby("__cband", sort=False)))
-        for band, rb in rs.groupby("__cband", sort=False):
-            lb = l_by_band.get(band)
-            if lb is None:
-                continue
-            llo = lb[left_lo].to_numpy()
-            lhi = lb[left_hi].to_numpy()
-            rlo = rb[rlo_out].to_numpy()
-            rhi = rb[rhi_out].to_numpy()
-            # Candidates: lefts with lo <= right's hi (sorted prefix).
-            k = np.searchsorted(llo, rhi, side="right")
-            total = int(k.sum())
-            if total == 0:
-                continue
-            starts = np.cumsum(k) - k
-            l_idx = (np.arange(total, dtype=np.int64)
-                     - np.repeat(starts, k))
-            r_idx = np.repeat(np.arange(len(rb), dtype=np.int64), k)
-            lo_max = np.maximum(llo[l_idx], rlo[r_idx])
-            keep = ((lhi[l_idx] >= rlo[r_idx])
-                    & (lo_max // bucket_width == band))
-            if not keep.any():
-                continue
-            l_idx, r_idx = l_idx[keep], r_idx[keep]
-            part = lb.iloc[l_idx][l_cols].reset_index(drop=True)
-            part[r_cols] = rb.iloc[r_idx][r_cols].reset_index(drop=True)
-            out_parts.append(part)
-        if not out_parts:
-            return typed_empty()
-        return pd.concat(out_parts, ignore_index=True)[out_cols]
+    def match_bucket(g: pa.Table) -> pa.Table:
+        ls, rs = _sides(g, ["__cband", *l_cols], ["__cband", *r_cols])
+        ls = ls.sort_by([("__cband", "ascending"), (left_lo, "ascending")])
+        llo, lhi = _ints(ls.column(left_lo)), _ints(ls.column(left_hi))
+        band = _ints(rs.column("__cband"))
+        rlo, rhi = _ints(rs.column(rlo_out)), _ints(rs.column(rhi_out))
+        # Candidates: lefts of the right's band with lo <= the right's hi.
+        li, ri = _band_pairs(_ints(ls.column("__cband")), llo, band,
+                             np.full(len(band), np.iinfo(np.int64).min), rhi)
+        keep = ((lhi[li] >= rlo[ri])
+                & (np.maximum(llo[li], rlo[ri]) // bucket_width == band[ri]))
+        return _gather(union, ls, li[keep], rs, ri[keep])
 
     return bucket_exchange(tagged, "__jbucket", n_buckets, match_bucket,
-                           "pandas")
+                           "pyarrow")
 
 
 def semi_join(left, right, on: str):
@@ -745,31 +622,14 @@ def anti_join(left, right, on: str, n_buckets: int = 32, left_schema=None):
     left_names = list(left_schema.names)
     types = {f.name: f.type for f in left_schema}
 
-    def pad_left(batch: pa.Table) -> pa.Table:
-        out = batch.select(left_names)
-        out = out.append_column(
-            "__jbucket", pa.array(_bucket_array(out.column(on), n_buckets), pa.int32())
-        )
-        return out.append_column(
-            "__jside", pa.array(np.zeros(batch.num_rows, dtype=np.int8), pa.int8())
-        )
+    def pad(batch: pa.Table, side: int) -> pa.Table:
+        # the right side: its keys in the left's key type, other columns null
+        t = _conform(batch, left_schema)
+        return _tag(t, _bucket_array(t.column(on), n_buckets), side)
 
-    def pad_right(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        cols = {
-            name: (batch.column(on) if name == on else pa.nulls(n, type=types[name]))
-            for name in left_names
-        }
-        out = pa.table(cols).cast(pa.schema([(c, types[c]) for c in left_names]))
-        out = out.append_column(
-            "__jbucket", pa.array(_bucket_array(out.column(on), n_buckets), pa.int32())
-        )
-        return out.append_column(
-            "__jside", pa.array(np.ones(n, dtype=np.int8), pa.int8())
-        )
-
-    tagged = left.map_batches(pad_left, batch_format="pyarrow").union(
-        right.select_columns([on]).map_batches(pad_right, batch_format="pyarrow")
+    tagged = left.map_batches(lambda b: pad(b, 0), batch_format="pyarrow").union(
+        right.select_columns([on]).map_batches(lambda b: pad(b, 1),
+                                               batch_format="pyarrow")
     )
 
     def filter_bucket(g: pa.Table) -> pa.Table:
@@ -921,12 +781,7 @@ def salted_join(left, right, on: str, hot_keys, n_salt: int = 8,
         keys = pc.cast(t.column(on), pa.string())
         is_hot = pc.is_in(keys, value_set=hot_set) \
                    .to_numpy(zero_copy_only=False)
-        counts = np.where(is_hot, n_salt, 1).astype(np.int64)
-        total = int(counts.sum())
-        starts = np.cumsum(counts) - counts
-        salts = (np.arange(total, dtype=np.int64)
-                 - np.repeat(starts, counts))
-        src = np.repeat(np.arange(t.num_rows, dtype=np.int64), counts)
+        src, salts = _expand(np.where(is_hot, n_salt, 1).astype(np.int64))
         rep = t.take(pa.array(src))
         jkey = pc.binary_join_element_wise(
             pc.cast(rep.column(on), pa.string()),
@@ -980,20 +835,15 @@ def join_size_estimate(left, right, on: str, n_buckets: int = 32):
         right.map_batches(partial(1), batch_format="pyarrow"))
 
     def combine(t: pa.Table) -> pa.Table:
-        df = t.to_pandas()
-        g = df.groupby([on, "side"], sort=False)["pn"].sum() \
-              .unstack("side", fill_value=0)
-        for c in (0, 1):
-            if c not in g.columns:
-                g[c] = 0
-        g = g[(g[0] > 0) & (g[1] > 0)]
-        out = pd.DataFrame({
-            on: g.index,
-            "n_left": g[0].to_numpy(np.int64),
-            "n_right": g[1].to_numpy(np.int64),
-        })
-        out["n_out"] = out["n_left"] * out["n_right"]
-        return pa.Table.from_pandas(out, preserve_index=False)
+        g = t.group_by([on, "side"]).aggregate([("pn", "sum")])
+        side = g.column("side")
+        lhs = g.filter(pc.equal(side, 0)).select([on, "pn_sum"]) \
+            .rename_columns([on, "n_left"])
+        rhs = g.filter(pc.equal(side, 1)).select([on, "pn_sum"]) \
+            .rename_columns([on, "n_right"])
+        out = lhs.join(rhs, on, join_type="inner")  # null keys never match
+        return out.append_column(
+            "n_out", pc.multiply(out.column("n_left"), out.column("n_right")))
 
     from .aggregate import bucketed_combine
     return bucketed_combine(parts, on, combine, n_buckets)

@@ -33,7 +33,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray.data as rd
 
-from .join import _bucket_array, _bucket_array_multi, _typed_empty
+from .join import _bucket_array, _bucket_array_multi, _keys, _local_join
 
 
 def write_bucketed(ds, path: str, on, n_buckets: int = 32):
@@ -59,25 +59,21 @@ def write_bucketed(ds, path: str, on, n_buckets: int = 32):
     return path
 
 
-def _read_bucket(path: str, b: int, schema: pa.Schema,
-                 columns=None) -> pd.DataFrame:
-    """One bucket directory -> pandas; typed empty when the bucket never
-    received a row (hive layout only creates directories for non-empty
-    buckets)."""
-    d = os.path.join(path, f"bucket={b}")
-    files = sorted(glob.glob(os.path.join(d, "*.parquet")))
-    if not files:
-        names = columns if columns else [n for n in schema.names]
-        return _typed_empty(names, {n: schema.field(n).type for n in names})
-    t = pa.concat_tables([pq.read_table(f, columns=columns) for f in files])
-    return t.to_pandas()
+def _read_bucket(path: str, b: int, schema: pa.Schema) -> pa.Table:
+    """One bucket directory as one Arrow table in ``schema`` (whose names
+    are the columns read); empty when the bucket never received a row
+    (hive layout only creates directories for non-empty buckets)."""
+    files = sorted(glob.glob(os.path.join(path, f"bucket={b}", "*.parquet")))
+    return pa.concat_tables([schema.empty_table(), *(
+        pq.read_table(f, columns=schema.names).cast(schema) for f in files)])
 
 
-def _schema_of(path: str) -> pa.Schema:
+def _schema_of(path: str, columns=None) -> pa.Schema:
     files = sorted(glob.glob(os.path.join(path, "bucket=*", "*.parquet")))
     if not files:
         raise FileNotFoundError(f"no bucketed parquet under {path}")
-    return pq.read_schema(files[0])
+    schema = pq.read_schema(files[0])
+    return pa.schema([schema.field(c) for c in columns]) if columns else schema
 
 
 def read_bucketed_join(path_left: str, path_right: str, left_on: str,
@@ -86,47 +82,41 @@ def read_bucketed_join(path_left: str, path_right: str, left_on: str,
                        right_columns=None):
     """ZERO-exchange join of two co-bucketed tables (same hash, same
     ``n_buckets``): one task per bucket reads both sides' ``bucket=<b>``
-    files and merges locally.  Returns the joined Dataset, still
-    partitioned by the key.
+    files and joins them with ``join._local_join``.  Returns the joined
+    Dataset, still partitioned by the key, whose every block has the
+    left's columns, then the right's (a right key named as its left key
+    once, other names the left has suffixed), with the files' types.
 
     Column pruning (``left_columns`` / ``right_columns``) happens at the
     parquet read inside each task.  The join key columns must be included
     in the pruned sets.
 
-    SQL null semantics: a null join key matches NOTHING (pandas merge
-    would match NaN with NaN) — null-key rows are excluded from the match
-    and, for ``how="left"``, re-appended unmatched.  ``how`` is
+    SQL null semantics: a null join key matches NOTHING; for
+    ``how="left"`` a null-key left row is kept unmatched.  ``how`` is
     restricted to inner/left (the bucketed layout cannot express outer's
     unmatched-right rows without a second pass)."""
     if how not in ("inner", "left"):
         raise ValueError("read_bucketed_join supports how='inner'/'left'")
-    ls, rs = _schema_of(path_left), _schema_of(path_right)
-    lkeys = left_on if isinstance(left_on, (list, tuple)) else [left_on]
-    rkeys = right_on if isinstance(right_on, (list, tuple)) else [right_on]
+    ls = _schema_of(path_left, left_columns)
+    rs = _schema_of(path_right, right_columns)
+    lkeys, rkeys = _keys(left_on), _keys(right_on)
+    shared = {r for l, r in zip(lkeys, rkeys) if l == r}
+    renamed = [n + suffix if n in ls.names and n not in shared else n
+               for n in rs.names]
+    out_schema = pa.schema([*ls, *(
+        f.with_name(n) for f, n in zip(rs, renamed) if n not in shared)])
+    rkeys = [renamed[rs.names.index(r)] for r in rkeys]
 
-    def _null_mask(df: pd.DataFrame, keys) -> np.ndarray:
-        m = np.zeros(len(df), dtype=bool)
-        for c in keys:
-            m |= df[c].isna().to_numpy()
-        return m
-
-    def join_bucket(batch: pd.DataFrame) -> pd.DataFrame:
-        out = []
-        for b in batch["id"].tolist():
-            lf = _read_bucket(path_left, int(b), ls, left_columns)
-            rf = _read_bucket(path_right, int(b), rs, right_columns)
-            lm, rm = _null_mask(lf, lkeys), _null_mask(rf, rkeys)
-            merged = lf[~lm].merge(rf[~rm], left_on=left_on,
-                                   right_on=right_on, how=how,
-                                   suffixes=("", suffix))
-            if how == "left" and lm.any():
-                merged = pd.concat([merged, lf[lm]], ignore_index=True)
-            out.append(merged)
-        return pd.concat(out) if out else pd.DataFrame()
+    def join_bucket(batch: pa.Table) -> pa.Table:
+        return pa.concat_tables([
+            _local_join(_read_bucket(path_left, b, ls),
+                        _read_bucket(path_right, b, rs).rename_columns(renamed),
+                        lkeys, how, out_schema, right_on=rkeys)
+            for b in batch.column("id").to_pylist()])
 
     # range(n, one block per bucket) -> each bucket is its own task.
     return rd.range(n_buckets, override_num_blocks=n_buckets).map_batches(
-        join_bucket, batch_format="pandas"
+        join_bucket, batch_format="pyarrow"
     )
 
 

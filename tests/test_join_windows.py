@@ -2,8 +2,12 @@
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pytest
 import ray.data
 import ray.data as rd
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from document_text_extraction_ray.stages.join import broadcast_join, partitioned_hash_join
 from document_text_extraction_ray.stages.windows import (
@@ -29,6 +33,22 @@ def test_broadcast_join():
     out = broadcast_join(left, small, on="k").to_pandas()
     assert len(out) == 40  # k=4 rows dropped (inner)
     assert set(out["rname"]) == {f"name{k}" for k in range(4)}
+
+
+@pytest.mark.parametrize("key_type", ["int64", "string"])
+def test_broadcast_join_null_keys_never_match(key_type):
+    """A null key on either side matches nothing, as in every other join
+    kernel (a pandas merge pairs null with null)."""
+    keys = [1, None, 2] if key_type == "int64" else ["a", None, "b"]
+    left = ray.data.from_arrow(pa.table({
+        "k": pa.array(keys, getattr(pa, key_type)()),
+        "lval": pa.array([10, 20, 30], pa.int64())}))
+    small = pd.DataFrame({
+        "k": pd.array(keys[:2], dtype="Int64" if key_type == "int64"
+                      else "string"),
+        "rname": ["one", "null"]})
+    out = broadcast_join(left, small, on="k").to_pandas()
+    assert sorted(zip(out["lval"], out["rname"])) == [(10, "one")]
 
 
 def test_partitioned_hash_join_inner():
@@ -125,6 +145,66 @@ def test_asof_join():
     # k=1 events: eid 1 (100s) has no match (dropped); eid 3.. -> tag 200
     assert 1 not in got
     assert got[3] == 200 and got[9] == 200
+
+
+_ASOF_CASE = st.tuples(
+    st.sampled_from(["int", "ts", "ts_s_us"]),
+    st.sampled_from(["int", "str"]),
+    st.lists(st.tuples(st.integers(0, 2), st.integers(-6, 12)),
+             min_size=1, max_size=30),
+    st.dictionaries(st.tuples(st.integers(0, 2), st.integers(-6, 12)),
+                    st.integers(0, 999), max_size=20),
+    st.integers(1, 3),
+)
+
+
+@settings(max_examples=12, deadline=None)
+@given(_ASOF_CASE)
+def test_asof_join_matches_per_by_merge_asof(case):
+    """``asof_join`` equals ``pd.merge_asof(direction="backward")`` run per
+    ``by`` key, minus the left rows it leaves unmatched (inner).  Keys reach
+    below zero (pre-1970 timestamps), sides share timestamps, and the
+    left's ``ts`` may be second-resolution while the right's is µs."""
+    from document_text_extraction_ray.stages.join import asof_join
+
+    on_kind, by_kind, lrows, rrows, n_blocks = case
+    by = (lambda b: b) if by_kind == "int" else (lambda b: f"u{b}")
+    by_t = pa.int64() if by_kind == "int" else pa.string()
+    if on_kind == "int":
+        lt = rt = pa.int64()
+        lv = rv = (lambda v: v)
+    else:
+        lt = pa.timestamp("s" if on_kind == "ts_s_us" else "us")
+        rt = pa.timestamp("us")
+        lv = (lambda v: v) if on_kind == "ts_s_us" else (lambda v: v * 10**6)
+        rv = lambda v: v * 10**6
+    left = pa.table({"eid": pa.array(range(len(lrows)), pa.int64()),
+                     "k": pa.array([by(b) for b, _ in lrows], by_t),
+                     "ts": pa.array([lv(v) for _, v in lrows], lt)})
+    rkeys = sorted(rrows)
+    right = pa.table({"k": pa.array([by(b) for b, _ in rkeys], by_t),
+                      "rts": pa.array([rv(v) for _, v in rkeys], rt),
+                      "tag": pa.array([rrows[x] for x in rkeys], pa.int64())})
+    out = asof_join(rd.from_arrow(left).repartition(n_blocks),
+                    rd.from_arrow(right), by="k", left_on="ts",
+                    right_on="rts", n_buckets=4)
+    got = sorted((r["eid"], r["tag"]) for r in out.take_all())
+
+    # the oracle compares µs integers (merge_asof wants one key dtype)
+    lf = pd.DataFrame({"eid": range(len(lrows)),
+                       "k": [by(b) for b, _ in lrows],
+                       "t": [v * 10**6 for _, v in lrows]})
+    rf = pd.DataFrame({"k": [by(b) for b, _ in rkeys],
+                       "t": np.array([v * 10**6 for _, v in rkeys], np.int64),
+                       "tag": [rrows[x] for x in rkeys]})
+    want = []
+    for key, lg in lf.groupby("k"):
+        m = pd.merge_asof(lg.sort_values("t"),
+                          rf[rf["k"] == key].sort_values("t"),
+                          on="t", direction="backward")
+        m = m.dropna(subset=["tag"])
+        want += zip(m["eid"].tolist(), m["tag"].astype("int64").tolist())
+    assert got == sorted(want)
 
 
 def test_streaming_sessionize_equals_batch():

@@ -154,25 +154,29 @@ def test_salted_join_left_semantics():
 
 def test_full_outer_join_matches_pandas():
     import pyarrow as pa
+    import ray
     import ray.data as rd
 
     from document_text_extraction_ray.stages.join import partitioned_hash_join
 
     left = pd.DataFrame({"k": [1, 2, 3, 5], "a": [10, 20, 30, 50]})
     right = pd.DataFrame({"k": [2, 3, 4], "b": ["x", "y", "z"]})
-    out = partitioned_hash_join(
+    joined = partitioned_hash_join(
         rd.from_pandas(left).repartition(2),
         rd.from_pandas(right).repartition(2),
         on="k", how="outer", n_buckets=4,
-    ).to_pandas().sort_values("k").reset_index(drop=True)
+    ).materialize()
+    out = joined.to_pandas().sort_values("k").reset_index(drop=True)
     ref = left.merge(right, on="k", how="outer").sort_values("k") \
               .reset_index(drop=True)
     assert list(out["k"]) == list(ref["k"])
     assert out["a"].fillna(-1).astype("int64").tolist() == \
         ref["a"].fillna(-1).astype("int64").tolist()
     assert out["b"].fillna("").tolist() == ref["b"].fillna("").tolist()
-    # Int columns stay integer (nullable) through null padding.
-    assert str(out["a"].dtype) in ("Int64", "int64")
+    # The int column stays int64 (with nulls) in every output block.
+    blocks = ray.get(joined.to_arrow_refs())
+    assert {t.schema.field("a").type for t in blocks if t.num_rows} == \
+        {pa.int64()}
 
 
 def test_full_outer_join_null_keys_never_match():
@@ -197,17 +201,12 @@ def test_full_outer_join_null_keys_never_match():
     assert out["b"].isna().sum() == 1  # left null-key row, right side null
 
 
-@pytest.mark.parametrize("cpus", [
-    1,
-    pytest.param(4, marks=pytest.mark.xfail(strict=True, reason=(
-        "the pandas fold's block whose v is all null reaches Arrow as the "
-        "null type (CHANGES.md FOUND on partitioned_hash_join)"))),
-])
+@pytest.mark.parametrize("cpus", [1, 4])
 def test_hash_join_keeps_null_in_int_column(monkeypatch, cpus):
     """A real null in a non-key int column comes out of the join as a null
     of the same int type, whether the exchange runs one range (1 CPU) or
-    four.  At four, k=2's bucket holds only the null: the values survive
-    Ray's schema unification, but that block's ``v`` is Arrow's null type."""
+    four.  At four, k=2's bucket holds only the null, so one output block's
+    ``v`` is all null and must still be int64."""
     import pyarrow as pa
     import ray
     import ray.data as rd
@@ -226,6 +225,86 @@ def test_hash_join_keeps_null_in_int_column(monkeypatch, cpus):
         {"k": 1, "v": 5, "w": 7}, {"k": 2, "v": None, "w": 8}]
     assert [t.schema.field("v").type for t in blocks] == \
         [pa.int64()] * len(blocks)
+
+
+def _declared_schema_case(case, tmp_path):
+    """(joined Dataset, declared schema, row count) for one join kernel over
+    sides whose int column ``v`` is all null."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from document_text_extraction_ray.stages import join as J
+    from document_text_extraction_ray.stages.storage import (
+        read_bucketed_join, write_bucketed,
+    )
+
+    i64 = pa.int64()
+
+    def side(**cols):
+        return rd.from_arrow(pa.table(
+            {k: pa.array(v, pa.string() if k == "s" else i64)
+             for k, v in cols.items()}))
+
+    v = [None, None, None]
+    left = side(k=[1, 2, 3], s=["a", "b", "c"], v=v)
+    right = side(k=[1, 2, 4], s=["a", "b", "x"], w=[7, 8, 9])
+    if case in ("inner", "left", "outer"):
+        return (J.partitioned_hash_join(left.drop_columns(["s"]),
+                                        right.drop_columns(["s"]), "k",
+                                        n_buckets=8, how=case),
+                pa.schema([("k", i64), ("v", i64), ("w", i64)]),
+                {"inner": 2, "left": 3, "outer": 4}[case])
+    if case == "composite":
+        return (J.partitioned_hash_join(left, right, ["k", "s"], n_buckets=8),
+                pa.schema([("k", i64), ("s", pa.string()), ("v", i64),
+                           ("w", i64)]), 2)
+    if case == "range":
+        return (J.range_join(side(p=[1, 15, 30], v=v),
+                             side(lo=[0, 10, 25], hi=[5, 20, 40], w=[7, 8, 9]),
+                             "p", "lo", "hi", bucket_width=10, n_buckets=8),
+                pa.schema([(c, i64) for c in ("p", "v", "lo", "hi", "w")]), 3)
+    if case == "interval":
+        return (J.interval_overlap_join(
+                    side(lo=[0, 10, 25], hi=[5, 20, 40], v=v),
+                    side(lo=[3, 18, 50], hi=[4, 19, 60], w=[7, 8, 9]),
+                    "lo", "hi", "lo", "hi", bucket_width=10, n_buckets=8),
+                pa.schema([(c, i64) for c in
+                           ("lo", "hi", "v", "lo_r", "hi_r", "w")]), 2)
+    if case == "asof":
+        ts = pa.timestamp("us")
+        lt = pa.table({"k": pa.array([1, 2, 3], i64),
+                       "ts": pa.array([10, 20, 30], ts),
+                       "v": pa.array(v, i64)})
+        rt = pa.table({"k": pa.array([1, 2, 3], i64),
+                       "rts": pa.array([5, 15, 25], ts),
+                       "w": pa.array([7, 8, 9], i64)})
+        return (J.asof_join(rd.from_arrow(lt), rd.from_arrow(rt), by="k",
+                            left_on="ts", right_on="rts", n_buckets=8),
+                pa.schema([("k", i64), ("ts", ts), ("v", i64), ("rts", ts),
+                           ("w", i64)]), 3)
+    assert case == "bucketed"
+    lp, rp = str(tmp_path / "l"), str(tmp_path / "r")
+    write_bucketed(left.drop_columns(["s"]), lp, "k", 4)
+    write_bucketed(side(rk=[1, 2, 4], w=[7, 8, 9]), rp, "rk", 4)
+    return (read_bucketed_join(lp, rp, "k", "rk", 4, how="left"),
+            pa.schema([("k", i64), ("v", i64), ("rk", i64), ("w", i64)]), 3)
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+@pytest.mark.parametrize("case", ["inner", "left", "outer", "composite",
+                                  "range", "interval", "asof", "bucketed"])
+def test_join_blocks_carry_declared_schema(monkeypatch, tmp_path, case, cpus):
+    """Every non-empty output block of every join kernel has exactly the
+    declared schema, at one exchange range (1 CPU) and at four, with its
+    int column ``v`` all null."""
+    import ray
+
+    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": cpus})
+    out, schema, n_rows = _declared_schema_case(case, tmp_path)
+    blocks = [t for t in ray.get(out.to_arrow_refs()) if t.num_rows]
+    assert sum(t.num_rows for t in blocks) == n_rows
+    for t in blocks:
+        assert t.schema.equals(schema), (t.schema, schema)
 
 
 def test_sample_per_group_deterministic_uniform():
