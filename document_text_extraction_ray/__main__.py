@@ -71,9 +71,10 @@ def cmd_dedup(args):
 
 
 def cmd_summary(args):
-    """Totals over every manifest, then one row per committed partition
-    (rows, errors, html bytes) and the most frequent error classes, read
-    from the manifests alone."""
+    """Totals over every manifest, then one row per committed bucket unit
+    (first and last bucket, bucket count, rows, errors, html bytes) and
+    per committed partition (rows, errors, html bytes), and the most
+    frequent error classes, read from the manifests alone."""
     import collections
 
     from .state import checkpoint as ckpt
@@ -88,6 +89,13 @@ def cmd_summary(args):
         "buckets_committed": len(ckpt.committed_keys(args.out, "bucket")),
         "parts_committed": len(ckpt.committed_keys(args.out, "part")),
         "rows": rows, "ok": ok, "errors": rows - ok,
+        "bucket_units": [
+            {"first": m["buckets"][0]["bucket"],
+             "last": m["buckets"][-1]["bucket"],
+             "buckets": len(m["buckets"]), "rows": m["row_count"],
+             "errors": m["error_count"], "html_bytes": m["html_bytes"]}
+            for m in manifests if "buckets" in m
+        ],
         "partitions": [
             {"part": m["part"], "rows": m["row_count"],
              "errors": m["error_count"], "html_bytes": m.get("html_bytes")}

@@ -16,9 +16,10 @@ Two resumable jobs, two partitioning strategies:
     prunes whole input files before the read.  The throughput flagship.
   * ``run_extraction_job`` — one range shuffle on the url-hash ``bucket``
     key over its known domain ``[0, n_buckets)`` (one reduce task per CPU,
-    at most n_buckets); commit unit = bucket (hash-partitioned output
-    layout for downstream bucket joins / dedup); resume filters rows by
-    committed bucket.
+    at most n_buckets); commit unit = one exchange range, written as one
+    bucket-sorted file whose manifest lists its buckets and each one's row
+    span (hash-partitioned output layout for downstream bucket joins /
+    dedup); resume filters rows by committed bucket.
 
 No stage materializes the dataset; the streaming executor pipelines read,
 extraction and write with backpressure, and the whole chain FUSES into one
@@ -74,10 +75,13 @@ def run_extraction_job(
     n_buckets: int = 64,
     with_fields: bool = True,
 ) -> dict:
-    """End-to-end resumable job: extract -> skip committed buckets -> commit.
+    """End-to-end resumable job: extract -> skip committed buckets -> commit
+    each exchange range as one file with its bucket list
+    (``checkpoint.write_bucketed``).
 
-    Returns the commit summary; rerunning after a crash (or a no-op rerun)
-    skips every committed bucket and converges to the same final table.
+    Returns the commit summary, counted in buckets; rerunning after a crash
+    (or a no-op rerun) skips every committed bucket and converges to the
+    same final table.
     """
     extracted = extract_dataset(corpus, n_buckets=n_buckets, with_fields=with_fields)
     resumed = extracted.map_batches(

@@ -20,11 +20,11 @@ def range_boundaries(n_buckets: int) -> list:
     return [i * n_buckets // r for i in range(1, r)]
 
 
-def bucket_exchange(ds, col: str, n_buckets: int, fn, batch_format: str):
-    """``ds.groupby(col).map_groups(fn, batch_format=...)`` for an int
-    ``col`` whose values lie in ``[0, n_buckets)``: one range shuffle on
-    fixed boundaries (``range_boundaries``; no sampling stage), then ``fn``
-    once per bucket run, in ``batch_format``, bucket column included.
+def range_exchange(ds, col: str, n_buckets: int):
+    """``ds`` range-shuffled on an int ``col`` whose values lie in
+    ``[0, n_buckets)``: one sort on fixed boundaries (``range_boundaries``;
+    no sampling stage), so each reduce block holds one contiguous range of
+    buckets, sorted by ``col``.
 
     Scale contract: R = min(n_buckets, Ray CPUs) reduce tasks, so with
     hash-balanced buckets a task holds about 1/R of the exchanged rows (all
@@ -32,18 +32,33 @@ def bucket_exchange(ds, col: str, n_buckets: int, fn, batch_format: str):
     past the CPU count does not shrink a task; more CPUs do.  A value
     outside the domain only unbalances the ranges (keys past the last
     boundary land in the last one), never splits a bucket.  A range that
-    gets no rows yields an empty block that Ray passes on without calling
-    ``fn`` and that carries no schema, so the dataset's schema is the
-    fold's.  Empty fold results are dropped (see ``per_range``)."""
+    gets no rows yields an empty block that carries no schema."""
+    return ds.sort(col, boundaries=range_boundaries(n_buckets))
+
+
+def bucket_runs(keys: np.ndarray, col: str) -> list:
+    """Start offsets of the runs of equal ``keys`` in a block of
+    ``range_exchange``, then ``len(keys)``; raises if the block is not
+    sorted by ``col``."""
+    steps = np.diff(keys)
+    if (steps < 0).any():
+        raise ValueError(f"range_exchange: a block is not sorted by {col}")
+    return [0, *(np.flatnonzero(steps) + 1).tolist(), len(keys)]
+
+
+def bucket_exchange(ds, col: str, n_buckets: int, fn, batch_format: str):
+    """``ds.groupby(col).map_groups(fn, batch_format=...)`` for an int
+    ``col`` whose values lie in ``[0, n_buckets)``: one ``range_exchange``,
+    then ``fn`` once per bucket run, in ``batch_format``, bucket column
+    included.  Scale contract: ``range_exchange``.  A range that gets no
+    rows is passed on by Ray without calling ``fn``, so the dataset's
+    schema is the fold's.  Empty fold results are dropped (see
+    ``per_range``)."""
     from ray.data.block import BlockAccessor
 
     def per_range(block):
         acc = BlockAccessor.for_block(block)
-        keys = acc.to_numpy(col)
-        steps = np.diff(keys)
-        if (steps < 0).any():
-            raise ValueError(f"bucket_exchange: a block is not sorted by {col}")
-        starts = [0, *(np.flatnonzero(steps) + 1).tolist(), len(keys)]
+        starts = bucket_runs(acc.to_numpy(col), col)
         kept = False
         for a, b in zip(starts, starts[1:]):
             run = BlockAccessor.for_block(acc.slice(a, b, copy=False))
@@ -59,5 +74,5 @@ def bucket_exchange(ds, col: str, n_buckets: int, fn, batch_format: str):
             yield out if isinstance(out, pa.Table) else \
                 pa.Table.from_pandas(out, preserve_index=False)
 
-    return ds.sort(col, boundaries=range_boundaries(n_buckets)).map_batches(
+    return range_exchange(ds, col, n_buckets).map_batches(
         per_range, batch_size=None, batch_format=None)

@@ -4,24 +4,31 @@ North-rule requirement (BASELINE.md "Resume gate"): each commit unit is
 committed atomically with a lineage manifest (input, row counts, extractor
 version, commit time).  A killed-and-restarted job skips committed units and
 produces the same final table.  Both sinks run one protocol; only the unit
-differs: ``bucket=K`` (one url-hash bucket, ``write_bucketed``) or
-``part=K`` (one partition of input files, the sharded job's ``commit_part``).
+differs: ``buckets=F-L`` (one file holding the url-hash buckets F..L of one
+exchange range, ``write_bucketed``) or ``part=K`` (one partition of input
+files, the sharded job's ``commit_part``).
 
 Protocol (SURVEY.md §7.5 item 3 — sinks are at-least-once under retries):
   1. ``sweep_staging`` removes all of ``out/_staging`` (single-writer
      protocol: one job writes a given out_dir at a time);
-  2. each unit is written under ``out/_staging/<run_id>/<unit>/``; task
+  2. each unit is written under ``out/_staging/<run_id>/<unit>/``: a bucket
+     unit as one file, a part as one file per task that read it; task
      retries rewrite the same paths (idempotent); staging must be storage
      visible to the commit step (shared FS or object store on a cluster);
   3. ``_commit`` renames the staged dir to ``out/<unit>``, then atomically
      renames in ``out/_manifests/<unit>.json``.  **The manifest directory is
      the source of truth**, never a directory listing: files of a crashed
-     run sit in staging or in an unlisted unit dir and are ignored;
-  4. resume = ``committed_keys`` -> skip committed units (input files before
-     the read, or a ``pc.is_in`` anti-filter on the bucket column).
+     run sit in staging or in an unlisted unit dir and are ignored.  A
+     bucket unit's manifest lists its buckets, each with its ``[start,
+     end)`` row span in the unit's file and its counts;
+  4. resume = ``committed_keys`` (part ids, or the union of the bucket
+     units' bucket lists) -> skip committed units (input files before the
+     read, or a ``pc.is_in`` anti-filter on the bucket column).
 
 A bucket manifest lists out_dir-relative paths, a part manifest basenames
 under ``part=K/``; ``committed_files`` is the one reader that knows this.
+Both carry rows, ok, error and char counts, html bytes and an error-class
+histogram, so ``summary`` reads a run from its manifests alone.
 
 The part sink is one execution per job: ``stage_parts`` runs in every task
 of the sharded job, writes each partition's rows of its batch as one file
@@ -35,10 +42,12 @@ the stats rows, so nothing is re-read.
 write a part by other means.
 
 The bucket sink exchanges rows on the key domain it already knows,
-``[0, n_buckets)``, through ``stages.exchange.bucket_exchange`` (fixed
+``[0, n_buckets)``, through ``stages.exchange.range_exchange`` (fixed
 range boundaries, no sampling stage, one reduce task per range), and every
-task writes one file per bucket of its range.  Scale contract: see
-``bucket_exchange`` (a task holds about 1/R of the rows).
+task writes its range, sorted by bucket, as one file: R = min(n_buckets,
+Ray CPUs) files and manifests per run, so Parquet's per-file cost (footer,
+schema, column-chunk set-up) is paid once per range, not once per bucket.
+Scale contract: see ``range_exchange`` (a task holds about 1/R of the rows).
 
 On an object store (S3-style, no atomic rename) step 3 becomes
 "manifest lists the staged file keys" — the manifest-as-truth protocol is
@@ -54,34 +63,68 @@ import os
 import shutil
 import time
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from ..stages.exchange import bucket_runs, range_exchange
+
 MANIFEST_DIR = "_manifests"
 STAGING_DIR = "_staging"
 
-# One row per file ``stage_parts`` writes.
-PART_STATS_SCHEMA = pa.schema([
-    ("part", pa.int32()), ("file", pa.string()),
+# A bucket unit's name prefix: ``buckets=F-L``, F and L its first and last
+# bucket (its data dir and, with ``.json``, its manifest).
+_BUCKET_UNIT = "buckets="
+
+# The counts of a stats row; ``error_classes`` is a JSON ``{Type: count}``.
+_STATS_FIELDS = [
     ("row_count", pa.int64()), ("ok_count", pa.int64()),
     ("total_chars", pa.int64()), ("html_bytes", pa.int64()),
     ("error_classes", pa.string()),
+]
+
+# One row per file ``stage_parts`` writes.
+PART_STATS_SCHEMA = pa.schema([
+    ("part", pa.int32()), ("file", pa.string()), *_STATS_FIELDS,
+])
+
+# One row per bucket of a file ``_write_range`` writes; ``[start, end)`` is
+# the bucket's row span in the file.
+BUCKET_STATS_SCHEMA = pa.schema([
+    ("bucket", pa.int32()), ("file", pa.string()),
+    ("start", pa.int64()), ("end", pa.int64()), *_STATS_FIELDS,
 ])
 
 
-def committed_keys(out_dir: str, kind: str) -> set:
-    """Ids of the committed ``kind`` units ("bucket" or "part"): those with
-    a manifest, the only definition of 'done'."""
+def _manifest_names(out_dir: str, prefix: str) -> list:
+    """Names of the committed manifests whose unit starts with ``prefix``."""
     mdir = os.path.join(out_dir, MANIFEST_DIR)
     if not os.path.isdir(mdir):
-        return set()
+        return []
+    return [n for n in os.listdir(mdir)
+            if n.startswith(prefix) and n.endswith(".json")]
+
+
+def _bucket_manifests(out_dir: str) -> list:
+    """Every committed bucket-unit manifest, by first bucket."""
+    found = []
+    for name in _manifest_names(out_dir, _BUCKET_UNIT):
+        with open(os.path.join(out_dir, MANIFEST_DIR, name)) as fh:
+            found.append(json.load(fh))
+    return sorted(found, key=lambda m: m["buckets"][0]["bucket"])
+
+
+def committed_keys(out_dir: str, kind: str) -> set:
+    """Ids of the committed ``kind`` units ("bucket" or "part"): those a
+    manifest lists, the only definition of 'done'.  A part manifest is
+    named by its part; a bucket-unit manifest lists its buckets."""
+    if kind == "bucket":
+        return {b["bucket"] for m in _bucket_manifests(out_dir)
+                for b in m["buckets"]}
     prefix = f"{kind}="
-    return {
-        int(n[len(prefix): -len(".json")])
-        for n in os.listdir(mdir)
-        if n.startswith(prefix) and n.endswith(".json")
-    }
+    return {int(n[len(prefix): -len(".json")])
+            for n in _manifest_names(out_dir, prefix)}
 
 
 def sweep_staging(out_dir: str) -> None:
@@ -115,8 +158,6 @@ def make_resume_filter(out_dir: str):
     The committed set is captured once in the task closure (broadcast with the
     function, never re-shipped per batch).
     """
-    import pyarrow as pa
-
     committed = pa.array(sorted(committed_keys(out_dir, "bucket")),
                          type=pa.int32())
 
@@ -139,80 +180,105 @@ def write_bucketed(
     n_buckets: int = 64,
 ) -> dict:
     """Stream ``ds`` (must carry a ``bucket`` column with values in
-    ``[0, n_buckets)``) into checkpointed per-bucket Parquet under
+    ``[0, n_buckets)``) into checkpointed, bucket-sorted Parquet under
     ``out_dir``; commit manifests; return summary.
 
-    One ``bucket_exchange`` on the known key domain, then each bucket run
-    is written to one file and its lineage stats are computed in-task.
-    Scale contract: ``stages.exchange.bucket_exchange``.
+    One ``range_exchange`` on the known key domain, then each block of a
+    reduce range is written as one file (``_write_range``) whose unit is
+    named by its first and last bucket, and committed under one manifest
+    listing the file and, per bucket, its row span and counts.  Scale
+    contract: ``stages.exchange.range_exchange``.  The summary counts
+    buckets: ``committed`` (this run) and ``rows``; ``skipped`` is always 0,
+    since a committed bucket never reaches the write step.
 
-    Idempotent: buckets already committed are never overwritten (their staged
-    duplicates are discarded), so at-least-once task retries and job restarts
-    both converge to exactly-once output.  A bucket that reaches the write
-    step in two pieces (an unsorted block, or two stats rows) raises before
-    any manifest is written: both pieces would write ``part-00000``.
+    Idempotent: task retries rewrite the same staged file, and job
+    restarts converge to exactly-once output, because ``ds`` has the
+    committed buckets filtered out (``make_resume_filter``).  A bucket
+    reported by two files (an unsorted block, or a range split in two) or
+    one that a committed manifest already claims raises before any
+    manifest is written.
     """
-    import pyarrow as pa
-
-    from ..stages.exchange import bucket_exchange
-
     staging = os.path.join(out_dir, STAGING_DIR, run_id)
     sweep_staging(out_dir)
-
-    def write_group(group: pa.Table) -> pa.Table:
-        # The shuffle may dictionary-encode columns in some blocks; decode
-        # so every committed file carries one uniform schema.
-        for i, f in enumerate(group.schema):
-            if pa.types.is_dictionary(f.type):
-                group = group.set_column(
-                    i, f.name, group.column(f.name).cast(f.type.value_type)
-                )
-        bucket = group.column("bucket")[0].as_py()
-        bucket_dir = os.path.join(staging, f"bucket={bucket}")
-        os.makedirs(bucket_dir, exist_ok=True)
-        pq.write_table(group, os.path.join(bucket_dir, "part-00000.parquet"))
-        stats = _table_stats(group)
-        return pa.table({"bucket": [bucket], "row_count": [group.num_rows],
-                         "ok_count": [stats["ok_count"]],
-                         "total_chars": [stats["total_chars"]]})
-
-    # Per-bucket writes, not write_parquet(partition_cols=...), which fans
+    # One file per range, not write_parquet(partition_cols=...), which fans
     # every block into every bucket dir: blocks x buckets tiny files.
-    stats_rows = bucket_exchange(ds, "bucket", n_buckets, write_group,
-                                 "pyarrow").take_all()
-    seen = collections.Counter(int(r["bucket"]) for r in stats_rows)
+    stats_rows = range_exchange(ds, "bucket", n_buckets).map_batches(
+        _write_range, fn_args=(staging,), batch_size=None,
+        batch_format="pyarrow").take_all()
+    seen = collections.Counter(r["bucket"] for r in stats_rows)
     split = sorted(b for b, n in seen.items() if n > 1)
     if split:
         raise RuntimeError(
             f"write_bucketed: buckets {split} were written in more than one "
             "piece; nothing committed")
+    claimed = sorted(seen.keys() & committed_keys(out_dir, "bucket"))
+    if claimed:
+        raise RuntimeError(
+            f"write_bucketed: buckets {claimed} are already committed; "
+            "nothing committed")
 
-    committed_before = committed_keys(out_dir, "bucket")
-    summary = {"committed": 0, "skipped": 0, "rows": 0}
+    units = collections.defaultdict(list)   # file -> its rows, by bucket
     for row in sorted(stats_rows, key=lambda r: r["bucket"]):
-        bucket = int(row["bucket"])
-        if bucket in committed_before:
-            summary["skipped"] += 1
-            continue
-        unit = f"bucket={bucket}"
-        src = os.path.join(staging, unit)
-        files = sorted(f for f in os.listdir(src) if f.endswith(".parquet"))
-        _commit(out_dir, run_id, unit, src, {
-            "bucket": bucket,
+        units[row["file"]].append(row)
+    summary = {"committed": 0, "skipped": 0, "rows": 0}
+    for name, rows in units.items():
+        unit = os.path.dirname(name)
+        tally = {k: sum(r[k] for r in rows) for k in
+                 ("row_count", "ok_count", "total_chars", "html_bytes")}
+        classes = collections.Counter()
+        for r in rows:
+            classes.update(json.loads(r["error_classes"]))
+        _commit(out_dir, run_id, unit, os.path.join(staging, unit), {
+            "buckets": [
+                {"bucket": r["bucket"], "row_range": [r["start"], r["end"]],
+                 "row_count": r["row_count"], "ok_count": r["ok_count"],
+                 "total_chars": r["total_chars"]} for r in rows],
             "input_path": input_path,
-            "files": [os.path.join(unit, f) for f in files],
-            "row_count": int(row["row_count"]),
-            "ok_count": int(row["ok_count"]),
-            "error_count": int(row["row_count"]) - int(row["ok_count"]),
-            "total_chars": int(row["total_chars"]),
+            "files": [name],
+            **tally,
+            "error_count": tally["row_count"] - tally["ok_count"],
+            "error_classes": dict(classes.most_common()),
             "extractor_version": extractor_version,
             "run_id": run_id,
             "committed_at_us": int(time.time() * 1e6),
         })
-        summary["committed"] += 1
-        summary["rows"] += int(row["row_count"])
+        summary["committed"] += len(rows)
+        summary["rows"] += tally["row_count"]
     sweep_staging(out_dir)
     return summary
+
+
+def _write_range(block: pa.Table, staging: str) -> pa.Table:
+    """The bucket sink's write-and-report step, run on one block of the
+    range exchange (rows sorted by ``bucket``).
+
+    Writes the block as one Parquet file ``buckets=F-L/F-L.parquet`` under
+    ``staging``, F and L its first and last bucket, and returns one stats
+    row per bucket it holds (``BUCKET_STATS_SCHEMA``): the file, the
+    bucket's ``[start, end)`` row span in it, and its counts.  A retried
+    task rewrites the same file."""
+    if block.num_rows == 0:
+        return BUCKET_STATS_SCHEMA.empty_table()
+    # The shuffle may dictionary-encode columns in some blocks; decode so
+    # every committed file carries one uniform schema.
+    for i, f in enumerate(block.schema):
+        if pa.types.is_dictionary(f.type):
+            block = block.set_column(
+                i, f.name, block.column(i).cast(f.type.value_type))
+    keys = block.column("bucket").to_numpy()
+    starts = bucket_runs(keys, "bucket")
+    first, last = int(keys[0]), int(keys[-1])
+    name = os.path.join(f"{_BUCKET_UNIT}{first}-{last}",
+                        f"{first}-{last}.parquet")
+    os.makedirs(os.path.join(staging, os.path.dirname(name)), exist_ok=True)
+    pq.write_table(block, os.path.join(staging, name))
+    return pa.Table.from_pylist([
+        {"bucket": int(keys[start]), "file": name, "start": start,
+         "end": end, "row_count": end - start, **stats,
+         "error_classes": json.dumps(stats["error_classes"])}
+        for start, end, stats in zip(starts, starts[1:],
+                                     _span_stats(block, starts))
+    ], schema=BUCKET_STATS_SCHEMA)
 
 
 def commit_part(out_dir: str, run_id: str, part_id: int, staged_dir: str,
@@ -222,16 +288,42 @@ def commit_part(out_dir: str, run_id: str, part_id: int, staged_dir: str,
 
 
 def _table_stats(table) -> dict:
-    """``ok_count`` (rows whose ``status`` is "ok") and ``total_chars`` (the
-    sum of ``n_chars``) of an extracted table; 0 for a column it lacks."""
+    """``_span_stats`` of the whole of ``table``."""
+    return _span_stats(table, [0, table.num_rows])[0]
+
+
+def _span_stats(table, starts: list) -> list:
+    """Per row span ``[starts[i], starts[i + 1])`` of an extracted table:
+    ``ok_count`` (rows whose ``status`` is "ok"), ``total_chars`` (the sum
+    of ``n_chars``), ``html_bytes`` (the sum of ``html_bytes``) and
+    ``error_classes`` (``_error_classes`` of ``error``); 0 (or no class)
+    for a column the table lacks.  One pass per column, not per span."""
+    bounds = np.asarray(starts)
     names = table.column_names
-    ok = chars = 0
-    if "status" in names:
-        ok = pc.sum(pc.cast(pc.equal(table.column("status"), "ok"),
-                            "int64")).as_py() or 0
-    if "n_chars" in names:
-        chars = pc.sum(table.column("n_chars")).as_py() or 0
-    return {"ok_count": ok, "total_chars": chars}
+
+    def sums(values) -> list:
+        total = np.concatenate([[0], np.cumsum(values, dtype=np.int64)])
+        return (total[bounds[1:]] - total[bounds[:-1]]).tolist()
+
+    def column_sums(name, values) -> list:
+        if name not in names:
+            return [0] * (len(bounds) - 1)
+        return sums(values(table.column(name)).to_numpy())
+
+    ok = column_sums("status", lambda c: pc.fill_null(pc.equal(c, "ok"), False))
+    chars = column_sums("n_chars", lambda c: pc.fill_null(c, 0))
+    html = column_sums("html_bytes", lambda c: pc.fill_null(c, 0))
+    classes = [{} for _ in ok]
+    if "error" in names:
+        errors = table.column("error")
+        rows = np.flatnonzero(
+            pc.fill_null(pc.not_equal(errors, ""), False).to_numpy())
+        span = np.searchsorted(bounds, rows, side="right") - 1
+        for i in np.unique(span):
+            classes[i] = _error_classes(errors.take(rows[span == i]))
+    return [{"ok_count": o, "total_chars": c, "html_bytes": h,
+             "error_classes": e}
+            for o, c, h, e in zip(ok, chars, html, classes)]
 
 
 def _batch_position() -> tuple:
@@ -293,12 +385,10 @@ def stage_parts(batch, staging: str):
         os.makedirs(part_dir, exist_ok=True)
         with open(os.path.join(part_dir, name), "wb") as fh:
             fh.write(data)
+        stats = _table_stats(table)
         rows.append({
             "part": pid, "file": name, "row_count": table.num_rows,
-            **_table_stats(table),
-            "html_bytes": pc.sum(table.column("html_bytes")).as_py() or 0,
-            "error_classes": json.dumps(
-                _error_classes(table.column("error"))),
+            **stats, "error_classes": json.dumps(stats["error_classes"]),
         })
     return pa.Table.from_pylist(rows, schema=PART_STATS_SCHEMA)
 
@@ -391,30 +481,34 @@ def part_stats(part_dir: str) -> dict:
 
 
 def _manifests(out_dir: str):
-    """(kind, key, manifest) of every committed manifest, buckets first."""
-    for kind in ("bucket", "part"):
-        for key in sorted(committed_keys(out_dir, kind)):
-            path = os.path.join(out_dir, MANIFEST_DIR, f"{kind}={key}.json")
-            with open(path) as fh:
-                yield kind, key, json.load(fh)
+    """(dir its files are relative to, manifest) of every committed
+    manifest: bucket units by first bucket, then parts by id."""
+    for m in _bucket_manifests(out_dir):
+        yield out_dir, m
+    for key in sorted(committed_keys(out_dir, "part")):
+        unit = f"part={key}"
+        with open(os.path.join(out_dir, MANIFEST_DIR, f"{unit}.json")) as fh:
+            yield os.path.join(out_dir, unit), json.load(fh)
+
+
+def read_manifests(out_dir: str) -> list:
+    """All committed manifests — bucket units and parts alike."""
+    return [m for _, m in _manifests(out_dir)]
 
 
 def committed_files(out_dir: str) -> list:
     """The exact file list of the committed table (manifest-driven read),
     over bucket and part manifests alike."""
-    files = []
-    for kind, key, m in _manifests(out_dir):
-        base = out_dir if kind == "bucket" else os.path.join(out_dir, f"part={key}")
-        files.extend(os.path.join(base, f) for f in m["files"])
-    return files
+    return [os.path.join(base, f) for base, m in _manifests(out_dir)
+            for f in m["files"]]
 
 
 def read_committed_table(out_dir: str, columns=None):
     """Read the committed table via the manifest file list.
 
-    ``partitioning=None`` is required: the ``bucket=K`` directory names would
-    otherwise be hive-inferred as a dictionary-typed ``bucket`` column,
-    conflicting with the physical int32 column stored in the files."""
+    ``partitioning=None`` is required: the ``buckets=F-L`` and ``part=K``
+    directory names would otherwise be hive-inferred as extra dictionary
+    columns that the files do not hold."""
     return pq.read_table(committed_files(out_dir), columns=columns,
                          partitioning=None)
 
@@ -424,17 +518,12 @@ def read_committed_dataset(out_dir: str, columns=None):
     read), sized by ``read_corpus``.
 
     Unlike ``pq.read_table``, Ray's reader does not hive-infer partition
-    columns from the ``bucket=K`` paths by default (and passing
+    columns from the ``buckets=F-L`` paths by default (and passing
     ``partitioning=None`` trips a Ray 2.49 UnboundLocalError), so no
     override is needed here."""
     from ..sources.corpus import read_corpus
 
     return read_corpus(committed_files(out_dir), columns=columns)
-
-
-def read_manifests(out_dir: str) -> list:
-    """All committed manifests — bucket-keyed and part-keyed alike."""
-    return [m for _, _, m in _manifests(out_dir)]
 
 
 def export_snapshot(out_dir: str, snap_dir: str) -> dict:

@@ -189,15 +189,20 @@ def test_checkpoint_resume(tmp_path):
                             n_buckets=8, with_fields=False)
     assert s1["committed"] == 8 and s1["rows"] == 200
 
-    # Simulate a crashed second run: drop two manifests (their data dirs stay —
-    # manifests are the source of truth, so those buckets count as uncommitted).
-    removed = sorted(ckpt.committed_keys(out_dir, "bucket"))[:2]
-    for b in removed:
-        os.remove(os.path.join(out_dir, ckpt.MANIFEST_DIR, f"bucket={b}.json"))
+    # Simulate a crashed second run: drop one unit manifest, 2 of the 8
+    # buckets at 4 CPUs (its data dir stays — manifests are the source of
+    # truth, so those buckets count as uncommitted).
+    (m0, *_) = ckpt.read_manifests(out_dir)
+    removed = {b["bucket"] for b in m0["buckets"]}
+    assert len(removed) == 2
+    os.remove(os.path.join(out_dir, ckpt.MANIFEST_DIR,
+                           os.path.dirname(m0["files"][0]) + ".json"))
 
     s2 = run_extraction_job(corpus, out_dir, run_id="r2", input_path="synth:200",
                             n_buckets=8, with_fields=False)
     assert s2["committed"] == 2 and s2["skipped"] == 0
+    assert {b["bucket"] for m in ckpt.read_manifests(out_dir)
+            if m["run_id"] == "r2" for b in m["buckets"]} == removed
 
     # Final table: exactly one row per url, equal to a fresh full run.
     table = ckpt.read_committed_table(out_dir, columns=["url", "n_chars", "status"])
@@ -210,7 +215,9 @@ def test_checkpoint_resume(tmp_path):
     assert s3["committed"] == 0 and s3["rows"] == 0
 
     manifests = ckpt.read_manifests(out_dir)
-    assert len(manifests) == 8
+    assert len(manifests) == 4
+    assert sorted(b["bucket"] for m in manifests
+                  for b in m["buckets"]) == list(range(8))
     assert all(m["extractor_version"] for m in manifests)
     assert sum(m["row_count"] for m in manifests) == 200
 
@@ -224,25 +231,112 @@ def _four_file_corpus(tmp_path, n=120):
 @pytest.mark.parametrize("n_buckets", [7, 2])
 def test_bucketed_sink_range_edges(tmp_path, n_buckets):
     """At 4 CPUs, 7 buckets do not split evenly into 4 ranges and 2 buckets
-    cap the range count at 2; either way every bucket is one committed
-    file holding exactly its crc32(url) % n_buckets rows."""
+    cap the range count at 2; either way each range commits one file, and
+    every bucket's span in it holds exactly its crc32(url) % n_buckets
+    rows."""
     corpus_dir = _four_file_corpus(tmp_path)
     out_dir = str(tmp_path / "out")
     s = run_extraction_job(read_corpus(corpus_dir), out_dir, run_id="r1",
                            input_path=corpus_dir, n_buckets=n_buckets,
                            with_fields=False)
     assert s == {"committed": n_buckets, "skipped": 0, "rows": 120}
-    urls = []
-    for m in ckpt.read_manifests(out_dir):
-        assert m["files"] == [f"bucket={m['bucket']}/part-00000.parquet"]
-        t = pq.read_table(os.path.join(out_dir, m["files"][0]),
-                          columns=["url"], partitioning=None)
+    manifests = ckpt.read_manifests(out_dir)
+    assert len(manifests) == len(ckpt.committed_files(out_dir)) == \
+        min(n_buckets, 4)
+    urls, buckets = [], []
+    for m in manifests:
+        (f,) = m["files"]
+        t = pq.read_table(os.path.join(out_dir, f), columns=["url"],
+                          partitioning=None)
         assert t.num_rows == m["row_count"]
-        got = t.column("url").to_pylist()
-        assert all(zlib.crc32(u.encode("utf-8")) % n_buckets == m["bucket"]
-                   for u in got)
-        urls += got
+        assert m["buckets"][0]["row_range"][0] == 0
+        assert m["buckets"][-1]["row_range"][1] == t.num_rows
+        for b in m["buckets"]:
+            start, end = b["row_range"]
+            assert end - start == b["row_count"]
+            got = t.column("url").slice(start, end - start).to_pylist()
+            assert all(zlib.crc32(u.encode("utf-8")) % n_buckets == b["bucket"]
+                       for u in got)
+            urls += got
+            buckets.append(b["bucket"])
+    assert buckets == list(range(n_buckets))
     assert len(set(urls)) == len(urls) == 120
+
+
+def test_bucketed_sink_one_file_at_one_cpu(tmp_path, monkeypatch):
+    """With the exchange sized for 1 CPU, 64 buckets commit as one file
+    under one manifest, each bucket one contiguous span of it."""
+    from document_text_extraction_ray.stages import exchange
+
+    monkeypatch.setattr(exchange, "ray_cpus", lambda: 1)
+    corpus_dir = _four_file_corpus(tmp_path, n=400)
+    out_dir = str(tmp_path / "out")
+    s = run_extraction_job(read_corpus(corpus_dir), out_dir, run_id="r1",
+                           input_path=corpus_dir, n_buckets=64,
+                           with_fields=False)
+    assert s == {"committed": 64, "skipped": 0, "rows": 400}
+    (m,) = ckpt.read_manifests(out_dir)
+    assert m["files"] == ["buckets=0-63/0-63.parquet"]
+    assert os.listdir(os.path.join(out_dir, ckpt.MANIFEST_DIR)) == \
+        ["buckets=0-63.json"]
+    assert [b["bucket"] for b in m["buckets"]] == list(range(64))
+    bounds = [x for b in m["buckets"] for x in b["row_range"]]
+    assert bounds[0] == 0 and bounds[-1] == m["row_count"] == 400
+    assert bounds[1:-1:2] == bounds[2:-1:2]   # spans abut, in bucket order
+    t = pq.read_table(os.path.join(out_dir, m["files"][0]),
+                      columns=["url", "bucket"], partitioning=None)
+    assert pq.read_metadata(os.path.join(out_dir, m["files"][0])) \
+        .num_row_groups == 1
+    for b in m["buckets"]:
+        start, end = b["row_range"]
+        assert set(t.column("bucket").slice(start, end - start)
+                   .to_pylist()) == {b["bucket"]}
+    assert len(set(t.column("url").to_pylist())) == 400
+
+
+def test_bucketed_summary_reports_units_and_error_classes(tmp_path):
+    """``summary`` lists each committed bucket unit and the top error
+    classes of a bucketed run from its manifests alone (the output files
+    are deleted first)."""
+    import json
+    import sys
+
+    from child import run_child
+
+    pages = synth_corpus_table(120, seed=42).select(
+        ["url", "warc_ts", "html", "text", "lang"])
+    html = pages.column("html").to_pylist()
+    html[5] = None
+    pages = pages.set_column(pages.schema.get_field_index("html"), "html",
+                             pa.array(html, pa.large_binary()))
+    corpus_dir = tmp_path / "c"
+    corpus_dir.mkdir()
+    for k in range(4):
+        pq.write_table(pages.slice(30 * k, 30),
+                       str(corpus_dir / f"f{k}.parquet"))
+    out_dir = str(tmp_path / "out")
+    run_extraction_job(read_corpus(str(corpus_dir)), out_dir, run_id="r1",
+                       input_path=str(corpus_dir), n_buckets=8,
+                       with_fields=False)
+    manifests = ckpt.read_manifests(out_dir)
+    for f in ckpt.committed_files(out_dir):
+        os.remove(f)
+    r = run_child(
+        [sys.executable, "-m", "document_text_extraction_ray", "summary",
+         "--out", out_dir], timeout=120,
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    )
+    d = json.loads(r.stdout.strip().splitlines()[-1])
+    assert d["rows"] == 120 and d["errors"] == 1
+    assert d["buckets_committed"] == 8 and d["partitions"] == []
+    assert d["bucket_units"] == [
+        {"first": m["buckets"][0]["bucket"], "last": m["buckets"][-1]["bucket"],
+         "buckets": len(m["buckets"]), "rows": m["row_count"],
+         "errors": m["error_count"], "html_bytes": m["html_bytes"]}
+        for m in manifests]
+    assert sum(u["buckets"] for u in d["bucket_units"]) == 8
+    assert all(u["html_bytes"] > 0 for u in d["bucket_units"])
+    assert d["top_error_classes"] == [["TypeError", 1]]
 
 
 def _sort_each_block(self, key, descending=False, boundaries=None):
@@ -258,7 +352,7 @@ def _sort_each_block(self, key, descending=False, boundaries=None):
 def test_bucket_in_two_pieces_fails_loud(tmp_path, monkeypatch, fake_sort,
                                          error):
     """Without the range shuffle, a bucket reaches the write step in pieces
-    that would overwrite each other's part-00000: the unsorted block is
+    that would overwrite each other's unit file: the unsorted block is
     refused in the write task, and per-block sorted blocks by the driver,
     and neither commits a manifest."""
     corpus_dir = _four_file_corpus(tmp_path)
@@ -268,8 +362,28 @@ def test_bucket_in_two_pieces_fails_loud(tmp_path, monkeypatch, fake_sort,
         run_extraction_job(read_corpus(corpus_dir), out_dir, run_id="r1",
                            input_path=corpus_dir, n_buckets=8,
                            with_fields=False)
-    assert not glob.glob(os.path.join(out_dir, ckpt.MANIFEST_DIR,
-                                      "bucket=*.json"))
+    assert os.listdir(os.path.join(out_dir, ckpt.MANIFEST_DIR)) == []
+
+
+def test_bucket_committed_twice_fails_loud(tmp_path):
+    """A unit file holds several buckets, so rows of an already-committed
+    bucket reaching the sink (no resume filter) cannot be skipped without
+    dropping their neighbours: the sink raises and commits nothing."""
+    corpus_dir = _four_file_corpus(tmp_path)
+    out_dir = str(tmp_path / "out")
+    run_extraction_job(read_corpus(corpus_dir), out_dir, run_id="r1",
+                       input_path=corpus_dir, n_buckets=8, with_fields=False)
+    before = sorted(os.listdir(os.path.join(out_dir, ckpt.MANIFEST_DIR)))
+    with pytest.raises(RuntimeError, match="already committed"):
+        ckpt.write_bucketed(
+            extract_dataset(read_corpus(corpus_dir), n_buckets=8,
+                            with_fields=False),
+            out_dir, run_id="r2", input_path=corpus_dir,
+            extractor_version="test", n_buckets=8)
+    assert sorted(os.listdir(os.path.join(out_dir, ckpt.MANIFEST_DIR))) == \
+        before
+    urls = ckpt.read_committed_table(out_dir, columns=["url"]).column("url")
+    assert len(urls) == len(set(urls.to_pylist())) == 120
 
 
 def test_corpus_from_documents_normalizes_text():
@@ -453,8 +567,10 @@ def test_rerun_sweeps_own_run_staging(tmp_path, unit):
                                        with_fields=False)
 
     run()
-    os.remove(os.path.join(out_dir, ckpt.MANIFEST_DIR, f"{unit}=0.json"))
-    stale = os.path.join(out_dir, ckpt.STAGING_DIR, "r1", f"{unit}=0")
+    # n_buckets=2 at 4 CPUs is two ranges, one bucket each.
+    name = {"bucket": "buckets=0-0", "part": "part=0"}[unit]
+    os.remove(os.path.join(out_dir, ckpt.MANIFEST_DIR, f"{name}.json"))
+    stale = os.path.join(out_dir, ckpt.STAGING_DIR, "r1", name)
     os.makedirs(stale)
     pq.write_table(pa.table({"url": ["https://stale/1"]}),
                    os.path.join(stale, "stale.parquet"))
